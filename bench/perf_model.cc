@@ -383,20 +383,16 @@ main(int argc, char** argv)
     }
 
     // ---- serve: shape-bucketed batching vs per-request dispatch ----
-    // The ISSUE-5 acceptance row. 8 closed-loop clients on the same
-    // backbone/shape. Baseline: per-request dispatch as the repo stood
-    // before the serving layer — every client owns its own compiled
+    // 8 closed-loop clients on the same backbone/shape. Baseline:
+    // per-request dispatch — every client owns its own compiled
     // executor (executor.h's documented pattern for concurrent
-    // callers) built on the PR-4 per-tap kernel schedule
-    // (tap_fused = false), one image per run. Serve: ServeServer
-    // coalescing up to 8 images per batch over the per-shape plan
-    // cache with the tap-fused kernels. A same-kernel per-request row
-    // (tap_fused executors, still unbatched) is recorded too, so the
-    // record separates the batching win from the kernel win.
+    // callers), one image per run. Serve: ServeServer coalescing up to
+    // 8 images per batch over the per-shape plan cache. Both run the
+    // same kernels, so the speedup measures batching and dispatch.
     const int serve_clients = 8;
     const int serve_per_client = smoke ? 4 : 12;
     const int serve_requests = serve_clients * serve_per_client;
-    double pr_img_s = 0.0, pr_fused_img_s = 0.0, srv_img_s = 0.0;
+    double pr_img_s = 0.0, srv_img_s = 0.0;
     double pr_p50 = 0.0, pr_p99 = 0.0, srv_p50 = 0.0, srv_p99 = 0.0;
     double srv_mean_batch = 0.0;
     bool serve_bit_identical = true;
@@ -410,26 +406,7 @@ main(int argc, char** argv)
         std::vector<Tensor> refs;
         for (const auto& img : imgs) refs.push_back(model.infer(img));
 
-        // Baseline: per-client executors, PR-4 kernels, no batching.
-        {
-            nn::ExecutorOptions po;
-            po.tap_fused = false;
-            std::vector<std::unique_ptr<nn::ModelExecutor>> per_client;
-            for (int c = 0; c < serve_clients; ++c) {
-                per_client.push_back(std::make_unique<nn::ModelExecutor>(
-                    model, in_shape, po));
-                per_client.back()->run_view(imgs[static_cast<size_t>(c)]);
-            }
-            const ServeRun r =
-                closed_loop(serve_clients, serve_per_client, [&](int c) {
-                    per_client[static_cast<size_t>(c)]->run(
-                        imgs[static_cast<size_t>(c)]);
-                });
-            pr_img_s = r.img_per_s(serve_requests);
-            pr_p50 = percentile_ms(r.lat_ms, 0.5);
-            pr_p99 = percentile_ms(r.lat_ms, 0.99);
-        }
-        // Same-kernel per-request row (isolates the batching win).
+        // Baseline: per-client executors, no batching.
         {
             std::vector<std::unique_ptr<nn::ModelExecutor>> per_client;
             for (int c = 0; c < serve_clients; ++c) {
@@ -442,7 +419,9 @@ main(int argc, char** argv)
                     per_client[static_cast<size_t>(c)]->run(
                         imgs[static_cast<size_t>(c)]);
                 });
-            pr_fused_img_s = r.img_per_s(serve_requests);
+            pr_img_s = r.img_per_s(serve_requests);
+            pr_p50 = percentile_ms(r.lat_ms, 0.5);
+            pr_p99 = percentile_ms(r.lat_ms, 0.99);
         }
         // The serving layer: shape buckets, batch 8, plan cache. The
         // throughput scenario gives the linger window real room — a
@@ -485,11 +464,10 @@ main(int argc, char** argv)
         std::printf(
             "  serve:         per-request %.1f img/s (p50 %.1f p99 %.1f ms)"
             "  batched %.1f img/s (p50 %.1f p99 %.1f ms)  %.2fx"
-            "  [batch %.1f, same-kernel per-request %.1f img/s, "
-            "bit-identical=%s]\n",
+            "  [batch %.1f, bit-identical=%s]\n",
             pr_img_s, pr_p50, pr_p99, srv_img_s, srv_p50, srv_p99,
             pr_img_s > 0 ? srv_img_s / pr_img_s : 0.0, srv_mean_batch,
-            pr_fused_img_s, serve_bit_identical ? "yes" : "NO");
+            serve_bit_identical ? "yes" : "NO");
     }
 
     // ---- serve_overload: open-loop arrival rate >> capacity ----
@@ -854,22 +832,16 @@ main(int argc, char** argv)
     }
 
     // ---- sparse: ring-DOF-pruned weights through compiled tap tables ----
-    // The ISSUE-7 acceptance row: the same 3-layer RI4 backbone pruned
-    // in ring space at 0%/50%/75% tuple sparsity and run through the
-    // default (sparse tap-table) executors, single-threaded. Pruned
-    // tuples never enter the compiled tables, so ms/img falls with
-    // density; speedup_75 is the 75%-pruned run against the dense
-    // (0%-pruned) tap-fused schedule. bit_exact per row pins the
-    // sparse schedule against the dense tap-fused schedule on the SAME
-    // pruned weights (fp32, memcmp) and the scalar quantized oracle
-    // (int8). fp32_dense_ms runs the pruned weights through the
-    // sparse_taps=false schedule, separating the compiled-table win
-    // from the per-row zero-skip the dense schedule already does.
+    // The same 3-layer RI4 backbone pruned in ring space at 0%/50%/75%
+    // tuple sparsity and run through the executors, single-threaded.
+    // Pruned tuples never enter the compiled tables, so ms/img falls
+    // with density; speedup_75 is the 75%-pruned run against the
+    // unpruned one. bit_exact per row pins the int8 engine against the
+    // scalar quantized oracle on the same pruned weights.
     struct SparseRow
     {
         double sparsity = 0.0;
         double fp32_ms = 0.0;
-        double fp32_dense_ms = 0.0;
         double int8_ms = 0.0;
         long long fp32_skips = 0;
         long long int8_skips = 0;
@@ -893,18 +865,7 @@ main(int argc, char** argv)
             nn::ExecutorOptions so;
             so.threads = 1;
             nn::ModelExecutor sexec(sm, in_shape, so);
-            nn::ExecutorOptions dopt = so;
-            dopt.sparse_taps = false;
-            nn::ModelExecutor dexec(sm, in_shape, dopt);
-            const Tensor ys = sexec.run(x);
-            const Tensor yd = dexec.run(x);
-            row.bit_exact =
-                ys.shape() == yd.shape() &&
-                std::memcmp(ys.data(), yd.data(),
-                            static_cast<size_t>(ys.numel()) *
-                                sizeof(float)) == 0;
             row.fp32_ms = time_ms(reps, [&]() { sexec.run_view(x); });
-            row.fp32_dense_ms = time_ms(reps, [&]() { dexec.run_view(x); });
             row.fp32_skips = sexec.sparse_tap_skip_count();
 
             quant::QuantizedModel sqm(sm, {x});
@@ -914,7 +875,7 @@ main(int argc, char** argv)
             quant::QuantExecutor sqex(sqm, sqo);
             const quant::QAct sq_eng = sqex.run(sqin);
             const quant::QAct sq_ref = sqm.root()->forward(sqin);
-            row.bit_exact = row.bit_exact && sq_ref.shape == sq_eng.shape &&
+            row.bit_exact = sq_ref.shape == sq_eng.shape &&
                             sq_ref.frac == sq_eng.frac &&
                             sq_ref.v == sq_eng.v;
             row.int8_ms = time_ms(reps, [&]() { sqex.run(sqin); });
@@ -930,14 +891,13 @@ main(int argc, char** argv)
                 : 0.0;
         for (const SparseRow& r : sparse_rows) {
             std::printf(
-                "  sparse %3.0f%%:   fp32 %.2f ms (dense-sched %.2f ms)  "
-                "int8 %.2f ms  skipped taps %lld/%lld  sim MACs %llu  "
-                "bit-exact=%s\n",
-                r.sparsity * 100.0, r.fp32_ms, r.fp32_dense_ms, r.int8_ms,
+                "  sparse %3.0f%%:   fp32 %.2f ms  int8 %.2f ms  "
+                "skipped taps %lld/%lld  sim MACs %llu  bit-exact=%s\n",
+                r.sparsity * 100.0, r.fp32_ms, r.int8_ms,
                 r.fp32_skips, r.int8_skips, r.sim_macs,
                 r.bit_exact ? "yes" : "NO");
         }
-        std::printf("  sparse:        75%% vs dense %.2fx\n",
+        std::printf("  sparse:        75%% pruned vs unpruned %.2fx\n",
                     sparse_speedup_75);
     }
 
@@ -1151,6 +1111,8 @@ main(int argc, char** argv)
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
     std::fprintf(f, "  \"simd\": \"%s\",\n", simd::active_isa());
+    std::fprintf(f, "  \"nproc\": %u,\n",
+                 std::thread::hardware_concurrency());
     std::fprintf(f, "  \"model\": {\n");
     std::fprintf(f, "    \"layers\": %d, \"n\": %d, \"hw\": %d,\n", layers,
                  ri4.n, hw);
@@ -1194,16 +1156,12 @@ main(int argc, char** argv)
     std::fprintf(f, "    \"per_request_img_per_s\": %.3f,\n", pr_img_s);
     std::fprintf(f, "    \"per_request_p50_ms\": %.3f,\n", pr_p50);
     std::fprintf(f, "    \"per_request_p99_ms\": %.3f,\n", pr_p99);
-    std::fprintf(f, "    \"per_request_fused_img_per_s\": %.3f,\n",
-                 pr_fused_img_s);
     std::fprintf(f, "    \"serve_img_per_s\": %.3f,\n", srv_img_s);
     std::fprintf(f, "    \"serve_p50_ms\": %.3f,\n", srv_p50);
     std::fprintf(f, "    \"serve_p99_ms\": %.3f,\n", srv_p99);
     std::fprintf(f, "    \"mean_batch\": %.2f,\n", srv_mean_batch);
     std::fprintf(f, "    \"speedup\": %.3f,\n",
                  pr_img_s > 0.0 ? srv_img_s / pr_img_s : 0.0);
-    std::fprintf(f, "    \"speedup_same_kernels\": %.3f,\n",
-                 pr_fused_img_s > 0.0 ? srv_img_s / pr_fused_img_s : 0.0);
     std::fprintf(f, "    \"bit_identical\": %s\n",
                  serve_bit_identical ? "true" : "false");
     std::fprintf(f, "  },\n");
@@ -1271,10 +1229,10 @@ main(int argc, char** argv)
         std::fprintf(
             f,
             "      {\"sparsity\": %.2f, \"fp32_ms\": %.4f, "
-            "\"fp32_dense_sched_ms\": %.4f, \"int8_ms\": %.4f, "
+            "\"int8_ms\": %.4f, "
             "\"fp32_skipped_taps\": %lld, \"int8_skipped_taps\": %lld, "
             "\"sim_mac_ops\": %llu, \"bit_exact\": %s}%s\n",
-            r.sparsity, r.fp32_ms, r.fp32_dense_ms, r.int8_ms,
+            r.sparsity, r.fp32_ms, r.int8_ms,
             r.fp32_skips, r.int8_skips, r.sim_macs,
             r.bit_exact ? "true" : "false",
             i + 1 < sparse_rows.size() ? "," : "");

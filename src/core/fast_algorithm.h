@@ -68,7 +68,7 @@ FastAlgorithm fast_cyclic4_5mult();
 
 /** 10-multiplication exact Hamilton quaternion product.
  *  (The theoretical grank is 8 [Howell-Lafon 1975]; this is the compact
- *  exact scheme we ship, see DESIGN.md.) */
+ *  exact scheme we ship.) */
 FastAlgorithm fast_quaternion_10mult();
 
 /**

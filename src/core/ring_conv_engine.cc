@@ -13,7 +13,8 @@ namespace ringcnn {
 
 namespace {
 
-/** Directional epilogues use fixed-size per-pixel tuple registers. */
+/** The fp32 band pass keeps per-pixel Tx/Tz/epilogue tuple rows in
+ *  fixed-size stack arrays. */
 constexpr int kMaxTuple = 16;
 
 }  // namespace
@@ -24,6 +25,12 @@ RingConvEngine::RingConvEngine(const Ring& ring, const RingConvWeights& w,
     : ring_(&ring), co_t_(0), ci_t_(0), k_(0), n_(ring.n),
       m_(ring.fast.m()), opt_(opt)
 {
+    RINGCNN_CHECK(opt_.strict_fp64 || (m_ <= kMaxTuple && n_ <= kMaxTuple),
+                  "ring '" + ring.name + "' has m=" + std::to_string(m_) +
+                      ", n=" + std::to_string(n_) +
+                      "; fp32 engines support m, n <= " +
+                      std::to_string(kMaxTuple) +
+                      " (strict_fp64 engines accept any m)");
     // The data/reconstruction transforms depend only on the ring.
     const Matd& tx = ring.fast.tx;
     tx_nz_.resize(static_cast<size_t>(m_));
@@ -116,9 +123,9 @@ RingConvEngine::set_weights(const RingConvWeights& w, std::vector<float> bias)
     }
 
     // Fault site: a bit flip landing in the derived float filter
-    // store, BEFORE the sparse tap lists compile from it — the
-    // corruption propagates into every kernel schedule exactly as a
-    // physical upset of the cached transform would.
+    // store, BEFORE the tap lists compile from it — the corruption
+    // propagates into the compiled taps exactly as a physical upset of
+    // the cached transform would.
     uint64_t fault_token;
     if (util::fault_check("fp32.weights", &fault_token)) {
         util::fault_flip_bit(gt32_.data(), gt32_.size(), fault_token);
@@ -134,38 +141,35 @@ RingConvEngine::set_weights(const RingConvWeights& w, std::vector<float> bias)
     }
 
     // Sparsity compilation: pack the nonzero taps of g~ into compact
-    // per-(co, r) lists, in the dense scan's (ci, ky, kx) order so the
-    // fused band pass builds byte-identical tap tables from them. A
-    // ring tuple pruned in weight space zeroes its tap in EVERY band
-    // (g~ is linear in the tuple), so pruned taps never enter the
-    // lists — they are compiled away rather than skipped per build.
+    // per-(co, r) lists in (ci, ky, kx) order, the order the band pass
+    // accumulates them in. A ring tuple pruned in weight space zeroes
+    // its tap in EVERY band (g~ is linear in the tuple), so pruned taps
+    // never enter the lists — they are compiled away rather than
+    // skipped per row.
     sp_taps_.clear();
     sp_off_.assign(static_cast<size_t>(co_t_) * m_ + 1, 0);
-    sparse_skip_ = 0;
-    if (opt_.sparse_taps) {
-        for (int co = 0; co < co_t_; ++co) {
-            for (int r = 0; r < m_; ++r) {
-                for (int ci = 0; ci < ci_t_; ++ci) {
-                    const float* g_tap =
-                        gt32_.data() +
-                        ((static_cast<size_t>(co) * m_ + r) * ci_t_ + ci) *
-                            k_ * k_;
-                    for (int ky = 0; ky < k_; ++ky) {
-                        for (int kx = 0; kx < k_; ++kx) {
-                            const float wv =
-                                g_tap[static_cast<size_t>(ky) * k_ + kx];
-                            if (wv == 0.0f) continue;
-                            sp_taps_.push_back({ci, ky, kx, wv});
-                        }
+    for (int co = 0; co < co_t_; ++co) {
+        for (int r = 0; r < m_; ++r) {
+            for (int ci = 0; ci < ci_t_; ++ci) {
+                const float* g_tap =
+                    gt32_.data() +
+                    ((static_cast<size_t>(co) * m_ + r) * ci_t_ + ci) * k_ *
+                        k_;
+                for (int ky = 0; ky < k_; ++ky) {
+                    for (int kx = 0; kx < k_; ++kx) {
+                        const float wv =
+                            g_tap[static_cast<size_t>(ky) * k_ + kx];
+                        if (wv == 0.0f) continue;
+                        sp_taps_.push_back({ci, ky, kx, wv});
                     }
                 }
-                sp_off_[static_cast<size_t>(co) * m_ + r + 1] =
-                    static_cast<int64_t>(sp_taps_.size());
             }
+            sp_off_[static_cast<size_t>(co) * m_ + r + 1] =
+                static_cast<int64_t>(sp_taps_.size());
         }
-        sparse_skip_ = static_cast<int64_t>(gt32_.size()) -
-                       static_cast<int64_t>(sp_taps_.size());
     }
+    sparse_skip_ = static_cast<int64_t>(gt32_.size()) -
+                   static_cast<int64_t>(sp_taps_.size());
 }
 
 void
@@ -181,7 +185,6 @@ RingConvEngine::set_epilogue(ConvEpilogue epilogue, const Matd* u,
                           v->rows() == n_ && v->cols() == n_,
                       "directional transforms must be n x n for n=" +
                           std::to_string(n_));
-        RINGCNN_CHECK(n_ <= kMaxTuple, "tuple size too large for epilogue");
         u32_.resize(static_cast<size_t>(n_) * n_);
         v32_.resize(static_cast<size_t>(n_) * n_);
         for (int i = 0; i < n_; ++i) {
@@ -245,10 +248,8 @@ void
 RingConvEngine::transform_plane_f32(const Tensor& x, int t, int r,
                                     float* dst) const
 {
-    // Same sum in float, written as stride-1 row kernels: the first
-    // nonzero term initializes the plane, the rest accumulate in place.
-    // On the tap_fused path the whole chain runs as one fused pass —
-    // identical per-element order, one write pass instead of |nz|.
+    // Same sum in float, as one fused row pass over the nonzero terms
+    // (at most n <= kMaxTuple of them) in ascending j.
     const int h = x.dim(1), wd = x.dim(2);
     const int64_t plane = static_cast<int64_t>(h) * wd;
     const auto& nz = tx32_nz_[static_cast<size_t>(r)];
@@ -256,29 +257,15 @@ RingConvEngine::transform_plane_f32(const Tensor& x, int t, int r,
         std::fill_n(dst, plane, 0.0f);
         return;
     }
-    if (opt_.tap_fused && nz.size() <= static_cast<size_t>(kMaxTuple)) {
-        const float* srcs[kMaxTuple];
-        float coeffs[kMaxTuple];
-        int cnt = 0;
-        for (const auto& [j, c] : nz) {
-            srcs[cnt] = x.data() + static_cast<int64_t>(t * n_ + j) * plane;
-            coeffs[cnt] = c;
-            ++cnt;
-        }
-        simd::matvec_rows_f32(dst, srcs, coeffs, cnt, plane);
-        return;
-    }
-    bool first = true;
+    const float* srcs[kMaxTuple];
+    float coeffs[kMaxTuple];
+    int cnt = 0;
     for (const auto& [j, c] : nz) {
-        const float* src =
-            x.data() + static_cast<int64_t>(t * n_ + j) * plane;
-        if (first) {
-            simd::scale_f32(dst, src, c, plane);
-            first = false;
-        } else {
-            simd::axpy_f32(dst, src, c, plane);
-        }
+        srcs[cnt] = x.data() + static_cast<int64_t>(t * n_ + j) * plane;
+        coeffs[cnt] = c;
+        ++cnt;
     }
+    simd::matvec_rows_f32(dst, srcs, coeffs, cnt, plane);
 }
 
 void
@@ -348,128 +335,6 @@ RingConvEngine::conv_band_f64(const float* xt, int h, int wd, int co,
 }
 
 void
-RingConvEngine::conv_band_f32(const float* xt, int h, int wd, int co,
-                              int y0, int y1, Tensor& out,
-                              RingConvScratch::Worker& scratch,
-                              double* sums) const
-{
-    const int pad = k_ / 2;
-    const int bh = y1 - y0;
-    const int64_t plane = static_cast<int64_t>(h) * wd;
-
-    // Component-wise convolutions (eq. (7)) as stride-1 row kernels:
-    // for a fixed (r, ci, ky, kx) tap a whole output row accumulates
-    // from a contiguous input row. Per-element order is fixed by the
-    // (r, ci, ky, kx) nest, so results are invariant under banding and
-    // thread count.
-    scratch.z32.assign(static_cast<size_t>(m_) * bh * wd, 0.0f);
-    float* z = scratch.z32.data();
-    for (int r = 0; r < m_; ++r) {
-        float* zr = z + static_cast<size_t>(r) * bh * wd;
-        for (int ci = 0; ci < ci_t_; ++ci) {
-            const float* x_ch =
-                xt + static_cast<int64_t>(ci * m_ + r) * plane;
-            const float* g_tap =
-                gt32_.data() +
-                ((static_cast<size_t>(co) * m_ + r) * ci_t_ + ci) * k_ * k_;
-            for (int ky = 0; ky < k_; ++ky) {
-                const int yy_lo = std::max(y0, pad - ky);
-                const int yy_hi = std::min(y1, h + pad - ky);
-                for (int kx = 0; kx < k_; ++kx) {
-                    const float wv = g_tap[static_cast<size_t>(ky) * k_ + kx];
-                    if (wv == 0.0f) continue;
-                    const int x_lo = std::max(0, pad - kx);
-                    const int x_hi = std::min(wd, wd + pad - kx);
-                    const int shift_y = ky - pad, shift_x = kx - pad;
-                    for (int y = yy_lo; y < yy_hi; ++y) {
-                        float* zrow = zr + static_cast<size_t>(y - y0) * wd;
-                        const float* irow = x_ch +
-                            static_cast<int64_t>(y + shift_y) * wd + shift_x;
-                        simd::axpy_f32(zrow + x_lo, irow + x_lo, wv,
-                                       x_hi - x_lo);
-                    }
-                }
-            }
-        }
-    }
-
-    // Fused output pass: bias + reconstruction (eq. (8)) + epilogue,
-    // band-row by band-row while z is hot in cache.
-    for (int y = 0; y < bh; ++y) {
-        for (int i = 0; i < n_; ++i) {
-            float* orow = out.data() +
-                (static_cast<int64_t>(co * n_ + i) * h + y0 + y) * wd;
-            std::fill_n(orow, wd, bias32_[static_cast<size_t>(co) * n_ + i]);
-            const float* tzrow = tz32_.data() + static_cast<size_t>(i) * m_;
-            for (int r = 0; r < m_; ++r) {
-                simd::axpy_f32(orow,
-                               z + (static_cast<size_t>(r) * bh + y) * wd,
-                               tzrow[r], wd);
-            }
-        }
-        // ABFT capture: pre-epilogue interior sums (the reconstruction
-        // above is the conv result; the epilogue below is nonlinear).
-        // One SIMD row reduction per channel; the float rounding rides
-        // inside the checker's row-width tolerance term.
-        if (sums != nullptr) {
-            const int gy = y0 + y;
-            if (gy >= pad && gy < h - pad) {
-                for (int i = 0; i < n_; ++i) {
-                    const float* orow = out.data() +
-                        (static_cast<int64_t>(co * n_ + i) * h + gy) * wd;
-                    sums[i] += static_cast<double>(
-                        simd::sum_f32(orow + pad, wd - 2 * pad));
-                }
-            }
-        }
-        if (epilogue_ == ConvEpilogue::kRelu) {
-            for (int i = 0; i < n_; ++i) {
-                float* orow = out.data() +
-                    (static_cast<int64_t>(co * n_ + i) * h + y0 + y) * wd;
-                for (int xx = 0; xx < wd; ++xx) {
-                    orow[xx] = orow[xx] > 0.0f ? orow[xx] : 0.0f;
-                }
-            }
-        } else if (epilogue_ == ConvEpilogue::kDirectional) {
-            // Row-wise y -> U fcw(V y): each of the 2 n x n transforms
-            // becomes n^2 stride-1 row kernels over the band row — the
-            // same per-element accumulation order (ascending j) as a
-            // per-pixel matmul, so results are identical, but
-            // vectorized.
-            float* rows[kMaxTuple];
-            for (int i = 0; i < n_; ++i) {
-                rows[i] = out.data() +
-                    (static_cast<int64_t>(co * n_ + i) * h + y0 + y) * wd;
-            }
-            if (scratch.dir.size() < static_cast<size_t>(n_) * wd) {
-                scratch.dir.resize(static_cast<size_t>(n_) * wd);
-            }
-            for (int i = 0; i < n_; ++i) {
-                float* ti = scratch.dir.data() + static_cast<size_t>(i) * wd;
-                const float* vrow = v32_.data() + static_cast<size_t>(i) * n_;
-                simd::scale_f32(ti, rows[0], vrow[0], wd);
-                for (int j = 1; j < n_; ++j) {
-                    simd::axpy_f32(ti, rows[j], vrow[j], wd);
-                }
-                for (int xx = 0; xx < wd; ++xx) {
-                    ti[xx] = ti[xx] > 0.0f ? ti[xx] : 0.0f;
-                }
-            }
-            for (int i = 0; i < n_; ++i) {
-                const float* urow = u32_.data() + static_cast<size_t>(i) * n_;
-                simd::scale_f32(rows[i], scratch.dir.data(), urow[0], wd);
-                for (int j = 1; j < n_; ++j) {
-                    simd::axpy_f32(rows[i],
-                                   scratch.dir.data() +
-                                       static_cast<size_t>(j) * wd,
-                                   urow[j], wd);
-                }
-            }
-        }
-    }
-}
-
-void
 RingConvEngine::conv_band_f32_fused(const float* const* planes, int h,
                                     int wd, int co, int y0, int y1,
                                     Tensor& out,
@@ -479,21 +344,20 @@ RingConvEngine::conv_band_f32_fused(const float* const* planes, int h,
     const int pad = k_ / 2;
     const int bh = y1 - y0;
 
-    // Same component-wise convolutions as conv_band_f32, restructured:
-    // per (r, output row) the valid nonzero taps are gathered into a
-    // table — in the unfused kernel's (ci, ky, kx) order, so every
-    // element accumulates its terms in the identical sequence — and the
-    // whole row is computed in ONE simd::matvec_rows_f32 pass instead
-    // of a zero fill plus one read-modify-write pass per tap. Boundary
-    // columns (where the outermost kx taps fall off the image) run a
-    // scalar loop over the same ordered table.
+    // Component-wise convolutions (eq. (7)): per (r, output row) the
+    // valid compiled taps are gathered into a table in (ci, ky, kx)
+    // order, and the whole row is computed in ONE
+    // simd::matvec_rows_f32 pass instead of a zero fill plus one
+    // read-modify-write pass per tap. Boundary columns (where the
+    // outermost kx taps fall off the image) run a scalar loop over the
+    // same ordered table. Per-element order is fixed by the table, so
+    // results are invariant under banding and thread count.
     //
     // When Tz is the identity (the RI rings), each component IS its
     // output channel: rows are computed straight into the output
-    // tensor and the reconstruction pass reduces to the bias add (the
-    // operands of `bias + z` are the same either way, and IEEE float
-    // addition is commutative). Otherwise components accumulate into
-    // the scratch band and the nonzero Tz terms reconstruct as before.
+    // tensor and the reconstruction pass reduces to the bias add.
+    // Otherwise components accumulate into the scratch band and the
+    // nonzero Tz terms reconstruct them.
     float* z = nullptr;
     if (!identity_tz_) {
         const size_t zneed = static_cast<size_t>(m_) * bh * wd;
@@ -527,8 +391,7 @@ RingConvEngine::conv_band_f32_fused(const float* const* planes, int h,
         const auto run_row = [&](int y, int nt, int lx, int rx) {
             float* zrow = zr + static_cast<size_t>(y - y0) * wd;
             // Boundary columns: scalar walk over the ordered tap table,
-            // honoring each tap's valid range — the per-element add
-            // sequence the unfused kernel produces there.
+            // honoring each tap's valid range.
             for (int xx = 0; xx < std::min(lx, wd); ++xx) {
                 float acc = 0.0f;
                 for (int t = 0; t < nt; ++t) {
@@ -568,49 +431,25 @@ RingConvEngine::conv_band_f32_fused(const float* const* planes, int h,
             }
         };
 
-        // Builds the tap table for output row y, pre-shifted by +lx.
-        // With sparse_taps the compiled nonzero-tap list replaces the
-        // dense ci_t*k*k scan; both walks visit the surviving taps in
-        // the same (ci, ky, kx) order, so the tables — and every
-        // accumulated bit — are identical.
+        // Builds the tap table for output row y from the compiled
+        // nonzero-tap list of (co, r), pre-shifted by +lx.
+        const size_t slot = static_cast<size_t>(co) * m_ + r;
         const auto build_row = [&](int y, int& lx, int& rx) {
             int nt = 0;
             lx = 0;
             rx = wd;
-            const auto add_tap = [&](int ci, int ky, int kx, float wv) {
-                const int yy = y + ky - pad;
-                if (yy < 0 || yy >= h) return;
-                tsrc[nt] = planes[ci * m_ + r] +
-                           static_cast<int64_t>(yy) * wd + (kx - pad);
-                tw[nt] = wv;
-                tlo[nt] = std::max(0, pad - kx);
-                thi[nt] = std::min(wd, wd + pad - kx);
+            for (int64_t t = sp_off_[slot]; t < sp_off_[slot + 1]; ++t) {
+                const SparseTap& st = sp_taps_[static_cast<size_t>(t)];
+                const int yy = y + st.ky - pad;
+                if (yy < 0 || yy >= h) continue;
+                tsrc[nt] = planes[st.ci * m_ + r] +
+                           static_cast<int64_t>(yy) * wd + (st.kx - pad);
+                tw[nt] = st.w;
+                tlo[nt] = std::max(0, pad - st.kx);
+                thi[nt] = std::min(wd, wd + pad - st.kx);
                 lx = std::max(lx, tlo[nt]);
                 rx = std::min(rx, thi[nt]);
                 ++nt;
-            };
-            if (opt_.sparse_taps) {
-                const size_t slot = static_cast<size_t>(co) * m_ + r;
-                const int64_t t0 = sp_off_[slot], t1 = sp_off_[slot + 1];
-                for (int64_t t = t0; t < t1; ++t) {
-                    const SparseTap& st = sp_taps_[static_cast<size_t>(t)];
-                    add_tap(st.ci, st.ky, st.kx, st.w);
-                }
-            } else {
-                for (int ci = 0; ci < ci_t_; ++ci) {
-                    const float* g_tap =
-                        gt32_.data() +
-                        ((static_cast<size_t>(co) * m_ + r) * ci_t_ + ci) *
-                            k_ * k_;
-                    for (int ky = 0; ky < k_; ++ky) {
-                        for (int kx = 0; kx < k_; ++kx) {
-                            const float wv =
-                                g_tap[static_cast<size_t>(ky) * k_ + kx];
-                            if (wv == 0.0f) continue;
-                            add_tap(ci, ky, kx, wv);
-                        }
-                    }
-                }
             }
             for (int t = 0; t < nt; ++t) tsrc[t] += lx;
             return nt;
@@ -640,14 +479,14 @@ RingConvEngine::conv_band_f32_fused(const float* const* planes, int h,
         }
     }
 
-    // Fused output pass, as in conv_band_f32 but with the per-r
-    // reconstruction chain and the directional n x n matmuls collapsed
-    // into single fused row passes (identical per-element order), and
-    // only the NONZERO Tz terms touched. (Like the zero filter-tap
-    // skip, dropping an exactly-zero coefficient only differs through
-    // non-finite activations.) With identity Tz the components already
-    // sit in the output rows: reconstruction is just the bias add —
-    // skipped entirely when every bias is exactly zero.
+    // Fused output pass, band-row by band-row while z is hot in cache:
+    // bias + reconstruction (eq. (8)) over only the NONZERO Tz terms,
+    // then the epilogue, each n x n chain as one fused row pass. (Like
+    // the zero filter-tap skip, dropping an exactly-zero coefficient
+    // only differs through non-finite activations.) With identity Tz
+    // the components already sit in the output rows: reconstruction is
+    // just the bias add — skipped entirely when every bias is exactly
+    // zero.
     const float* srcs[kMaxTuple];
     float cf[kMaxTuple];
     const bool no_output_pass =
@@ -772,18 +611,15 @@ RingConvEngine::run_into(const Tensor* const* xs, Tensor* outs, int count,
     }
 
     // Per-image transformed-input buffers; one flat (img, tuple,
-    // component) task per plane. On the tap-fused path, components
-    // whose Tx row is a unit selector are never materialized — their
+    // component) task per plane. On the fp32 path, components whose Tx
+    // row is a unit selector are never materialized — their
     // plane-pointer table entry aliases the input tensor (for the RI
     // rings that is EVERY component, so the transform stage and its
     // 2x-image memory traffic vanish entirely).
     const bool strict = opt_.strict_fp64;
-    const bool fused = !strict && opt_.tap_fused && m_ <= kMaxTuple;
-    bool needs_xt = !fused;
-    if (fused) {
-        for (int r = 0; r < m_; ++r) {
-            if (tx_alias_[static_cast<size_t>(r)] < 0) needs_xt = true;
-        }
+    bool needs_xt = strict;
+    for (int r = 0; r < m_; ++r) {
+        if (tx_alias_[static_cast<size_t>(r)] < 0) needs_xt = true;
     }
     if (sc.xt.size() < static_cast<size_t>(count)) {
         sc.xt.resize(static_cast<size_t>(count));
@@ -802,7 +638,7 @@ RingConvEngine::run_into(const Tensor* const* xs, Tensor* outs, int count,
             [&](int worker, int64_t id) {
                 const int b = static_cast<int>(id / (ci_t_ * m_));
                 const int p = static_cast<int>(id % (ci_t_ * m_));
-                if (fused && tx_alias_[static_cast<size_t>(p % m_)] >= 0) {
+                if (!strict && tx_alias_[static_cast<size_t>(p % m_)] >= 0) {
                     return;  // aliased in place, nothing to materialize
                 }
                 const Tensor& x = *xs[b];
@@ -820,7 +656,7 @@ RingConvEngine::run_into(const Tensor* const* xs, Tensor* outs, int count,
             },
             threads);
     }
-    if (fused) {
+    if (!strict) {
         if (sc.xplanes.size() < static_cast<size_t>(count)) {
             sc.xplanes.resize(static_cast<size_t>(count));
         }
@@ -880,22 +716,18 @@ RingConvEngine::run_into(const Tensor* const* xs, Tensor* outs, int count,
             const Task& t = tasks[static_cast<size_t>(i)];
             RingConvScratch::Worker& ws =
                 sc.workers[static_cast<size_t>(worker)];
-            const float* xt = sc.xt[static_cast<size_t>(t.img)].data();
-            double* cell =
-                capture && !strict
-                    ? cells.data() + static_cast<size_t>(i) * n_
-                    : nullptr;
             if (strict) {
-                conv_band_f64(xt, xs[t.img]->dim(1), xs[t.img]->dim(2),
-                              t.co, t.y0, t.y1, outs[t.img], ws);
-            } else if (fused) {
+                conv_band_f64(sc.xt[static_cast<size_t>(t.img)].data(),
+                              xs[t.img]->dim(1), xs[t.img]->dim(2), t.co,
+                              t.y0, t.y1, outs[t.img], ws);
+            } else {
+                double* cell =
+                    capture ? cells.data() + static_cast<size_t>(i) * n_
+                            : nullptr;
                 conv_band_f32_fused(
                     sc.xplanes[static_cast<size_t>(t.img)].data(),
                     xs[t.img]->dim(1), xs[t.img]->dim(2), t.co, t.y0, t.y1,
                     outs[t.img], ws, cell);
-            } else {
-                conv_band_f32(xt, xs[t.img]->dim(1), xs[t.img]->dim(2),
-                              t.co, t.y0, t.y1, outs[t.img], ws, cell);
             }
         },
         threads);
@@ -979,7 +811,7 @@ QuantConvKernel::QuantConvKernel(int co, int ci, int k,
     }
     // Fault site: a bit flip in the pre-quantized weight store, before
     // the nonzero-tap lists compile from it (so the corruption reaches
-    // the sparse schedule too).
+    // the compiled taps).
     uint64_t fault_token;
     if (util::fault_check("int8.weights", &fault_token)) {
         util::fault_flip_bit(w8_.data(), w8_.size(), fault_token);
@@ -1002,8 +834,8 @@ QuantConvKernel::QuantConvKernel(int co, int ci, int k,
             s - std::abs(static_cast<double>(b));
     }
 
-    // Compiled nonzero-tap lists, in the dense scan's (ic, ky, kx)
-    // order per output channel. A pruned ring tuple expands to an
+    // Compiled nonzero-tap lists, in (ic, ky, kx) order per output
+    // channel. A pruned ring tuple expands to an
     // all-zero n x n weight block, so its taps never enter the lists.
     tap_off_.assign(static_cast<size_t>(co) + 1, 0);
     for (int oc = 0; oc < co; ++oc) {
@@ -1050,42 +882,22 @@ QuantConvKernel::conv_rows(const int32_t* x, int h, int wd, int oc, int y0,
     const int64_t plane = static_cast<int64_t>(h) * wd;
     std::fill_n(dst, static_cast<size_t>(bh) * wd,
                 bias_[static_cast<size_t>(oc)]);
-    // Per-tap row accumulation, shared by both schedules. Integer
-    // addition is exact, so the dense scan (zero taps skipped — adding
-    // zero is value-neutral) and the compiled nonzero-tap list produce
-    // identical accumulators.
-    const auto acc_tap = [&](int ic, int ky, int kx, int32_t wv) {
-        const int32_t* x_ch = x + static_cast<int64_t>(ic) * plane;
-        const int yy_lo = std::max(y0, pad - ky);
-        const int yy_hi = std::min(y1, h + pad - ky);
-        const int x_lo = std::max(0, pad - kx);
-        const int x_hi = std::min(wd, wd + pad - kx);
-        const int shift_y = ky - pad, shift_x = kx - pad;
+    // One row-kernel pass per compiled nonzero tap; zero taps never
+    // entered the list (adding zero is value-neutral).
+    const int64_t t1 = tap_off_[static_cast<size_t>(oc) + 1];
+    for (int64_t t = tap_off_[static_cast<size_t>(oc)]; t < t1; ++t) {
+        const QTap& qt = taps_[static_cast<size_t>(t)];
+        const int32_t* x_ch = x + static_cast<int64_t>(qt.ic) * plane;
+        const int yy_lo = std::max(y0, pad - qt.ky);
+        const int yy_hi = std::min(y1, h + pad - qt.ky);
+        const int x_lo = std::max(0, pad - qt.kx);
+        const int x_hi = std::min(wd, wd + pad - qt.kx);
+        const int shift_y = qt.ky - pad, shift_x = qt.kx - pad;
         for (int y = yy_lo; y < yy_hi; ++y) {
             int32_t* drow = dst + static_cast<size_t>(y - y0) * wd;
             const int32_t* irow =
                 x_ch + static_cast<int64_t>(y + shift_y) * wd + shift_x;
-            simd::axpy_i32(drow + x_lo, irow + x_lo, wv, x_hi - x_lo);
-        }
-    };
-    if (sparse_taps_) {
-        const int64_t t0 = tap_off_[static_cast<size_t>(oc)];
-        const int64_t t1 = tap_off_[static_cast<size_t>(oc) + 1];
-        for (int64_t t = t0; t < t1; ++t) {
-            const QTap& qt = taps_[static_cast<size_t>(t)];
-            acc_tap(qt.ic, qt.ky, qt.kx, qt.w);
-        }
-        return;
-    }
-    const int8_t* wt = w8_.data() + static_cast<size_t>(oc) * ci_ * k_ * k_;
-    for (int ic = 0; ic < ci_; ++ic) {
-        for (int ky = 0; ky < k_; ++ky) {
-            for (int kx = 0; kx < k_; ++kx) {
-                const int32_t wv =
-                    wt[(static_cast<size_t>(ic) * k_ + ky) * k_ + kx];
-                if (wv == 0) continue;  // value-neutral: adds zero
-                acc_tap(ic, ky, kx, wv);
-            }
+            simd::axpy_i32(drow + x_lo, irow + x_lo, qt.w, x_hi - x_lo);
         }
     }
 }

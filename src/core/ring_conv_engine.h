@@ -8,8 +8,9 @@
  *
  *   1. precomputes g~ and the expanded bias once per weight set,
  *   2. runs the component-wise 2-D convolutions as row-contiguous
- *      stride-1 kernels (simd::axpy_f32 on the default float path;
- *      the original double-accumulation loops on the strict path),
+ *      stride-1 kernels (fused simd row passes over the compiled
+ *      nonzero taps on the default float path; the original
+ *      double-accumulation loops on the strict path),
  *   3. fuses bias, the reconstruction transform Tz, and an optional
  *      ReLU / directional-ReLU epilogue into one pass over each output
  *      band, so activations never round-trip through memory,
@@ -21,12 +22,17 @@
  *
  * Numerics: the engine has two kernel sets.
  *
- *  - Default (strict_fp64 == false): float32 accumulation throughout,
- *    built from the stride-1 row kernels in core/simd.h. Deterministic
- *    and invariant under thread count, row banding, batching, and the
- *    dispatched ISA; differs from the fp64 path by normal float
- *    rounding (observed max |Δ| well under 1e-4 on unit-scale
- *    activations).
+ *  - Default (strict_fp64 == false): float32 accumulation throughout.
+ *    The nonzero taps of g~ are compiled into per-(tuple, component)
+ *    tap lists at set_weights() time, and each output row accumulates
+ *    its live taps in one fused row pass (simd::matvec_rows_f32); the
+ *    input-transform and reconstruction / epilogue chains are fused
+ *    the same way. Deterministic and invariant under thread count, row
+ *    banding, batching, and the dispatched ISA; differs from the fp64
+ *    path by normal float rounding (observed max |Δ| well under 1e-4
+ *    on unit-scale activations). The fused passes keep per-pixel tuple
+ *    rows in fixed 16-entry arrays, so the constructor rejects fp32
+ *    engines on rings with m > 16 or n > 16.
  *  - Strict (strict_fp64 == true): for every output element the engine
  *    performs the same operations, on the same operand values, in the
  *    same order as the original ring_conv_fast() loop nest, so results
@@ -34,6 +40,7 @@
  *    verbatim seed oracle in tests/test_ring_conv_engine.cc). One
  *    deliberate deviation: exactly-zero transformed filter taps are
  *    skipped, which only differs when an activation is Inf/NaN.
+ *    Strict engines accept any m.
  */
 #ifndef RINGCNN_CORE_RING_CONV_ENGINE_H
 #define RINGCNN_CORE_RING_CONV_ENGINE_H
@@ -58,43 +65,10 @@ struct RingConvEngineOptions
      * Run the original double-precision accumulation loops instead of
      * the float32 SIMD kernels. Off by default for inference; switch on
      * wherever bit-exactness against the seed oracle is asserted.
-     * Strict mode does not support fused epilogues.
+     * Strict mode does not support fused epilogues, and is the only
+     * mode that accepts rings with m > 16 or n > 16.
      */
     bool strict_fp64 = false;
-    /**
-     * Accumulate every (ci, ky, kx) tap of an output row in one fused
-     * pass (simd::axpy_rows_f32) instead of one axpy_f32 row pass per
-     * tap, and likewise fuse the input-transform and reconstruction /
-     * directional-epilogue row chains. Per-element operation order is
-     * unchanged, so results are BIT-IDENTICAL to the unfused fp32 path
-     * (pinned in tests/test_ring_conv_engine.cc) up to the sign of
-     * exact zeros: the fused accumulator starts from its first term
-     * where the unfused one starts from +0.0, so an element whose
-     * every term is -0.0 (exact-zero activations behind a ReLU hitting
-     * negative taps) comes out -0.0 instead of +0.0 — the same value
-     * class as the zero-tap skip caveat; the per-tap
-     * read-modify-write traffic over the accumulator band — most of the
-     * fp32 FRCONV time — collapses to one load/store per row. Off
-     * reproduces the PR-2/PR-4 kernel schedule (the serving bench's
-     * per-request baseline). Ignored on the strict fp64 path.
-     */
-    bool tap_fused = true;
-    /**
-     * Compile the per-(output tuple, component) NONZERO taps of g~ into
-     * compact tap lists at set_weights() time, so the tap-fused band
-     * pass iterates only live taps instead of scanning the dense
-     * ci_t*k*k grid for zeros on every table (re)build. The compact
-     * lists preserve the dense scan's (ci, ky, kx) tap order, so every
-     * output element accumulates its terms in the identical sequence —
-     * results are BIT-IDENTICAL to the dense schedule with the same
-     * weights zeroed (pinned in tests/test_sparse_kernels.cc). This is
-     * how ring-DOF pruning (baselines/pruning.h) compiles away: a
-     * pruned tuple zeroes its tap in every band, so it simply never
-     * enters the compiled tables. Off keeps the dense per-build scan —
-     * the A/B baseline the sparse bench row compares against. Ignored
-     * on the strict fp64 and unfused paths (both keep dense scans).
-     */
-    bool sparse_taps = true;
 };
 
 /** Nonlinearity fused into the engine's output pass (fp32 path only). */
@@ -115,7 +89,7 @@ enum class ConvEpilogue
 struct RingConvScratch
 {
     std::vector<std::vector<float>> xt;
-    /** Tap-fused path: per-image (tuple, component) plane pointer
+    /** fp32 path: per-image (tuple, component) plane pointer
      *  table — identity Tx components alias the input tensor directly
      *  (no copy), the rest point into `xt`. */
     std::vector<std::vector<const float*>> xplanes;
@@ -125,7 +99,7 @@ struct RingConvScratch
         std::vector<float> dir;    ///< directional-epilogue tuple rows
         std::vector<double> z64;   ///< strict-path per-band planes
         std::vector<double> acc64; ///< strict-path transform accumulator
-        /** Tap-fused path: per-row tap table (source row pointers,
+        /** fp32 path: per-row tap table (source row pointers,
          *  coefficients, valid column ranges), rebuilt per output row. */
         std::vector<const float*> tap_src;
         std::vector<float> tap_w;
@@ -208,8 +182,7 @@ class RingConvEngine
 
     /**
      * Zero transformed-filter taps excluded from the compiled tap
-     * lists: co_t*m*ci_t*k^2 minus the nonzero count. 0 when
-     * sparse_taps is off (nothing was compiled away). Pruning a ring
+     * lists: co_t*m*ci_t*k^2 minus the nonzero count. Pruning a ring
      * tuple at sparsity s drops ~s of all taps here, in every band —
      * the executor sums this across engines for its
      * sparse_tap_skip_count() introspection.
@@ -231,16 +204,11 @@ class RingConvEngine
     void conv_band_f64(const float* xt, int h, int w, int co, int y0,
                        int y1, Tensor& out,
                        RingConvScratch::Worker& scratch) const;
-    /** `sums` (optional): n doubles receiving the band's pre-epilogue
-     *  interior sums per output component (ABFT capture). */
-    void conv_band_f32(const float* xt, int h, int w, int co, int y0,
-                       int y1, Tensor& out,
-                       RingConvScratch::Worker& scratch,
-                       double* sums = nullptr) const;
-    /** The tap_fused variant of conv_band_f32 (same values, fewer
-     *  accumulator passes; see RingConvEngineOptions::tap_fused).
-     *  `planes` maps (tuple, component) -> input plane (aliased or
-     *  transformed; see RingConvScratch::xplanes). */
+    /** fp32 band pass over the compiled tap lists. `planes` maps
+     *  (tuple, component) -> input plane (aliased or transformed; see
+     *  RingConvScratch::xplanes). `sums` (optional): n doubles
+     *  receiving the band's pre-epilogue interior sums per output
+     *  component (ABFT capture). */
     void conv_band_f32_fused(const float* const* planes, int h, int w,
                              int co, int y0, int y1, Tensor& out,
                              RingConvScratch::Worker& scratch,
@@ -261,7 +229,7 @@ class RingConvEngine
     std::vector<std::vector<std::pair<int, float>>> tx32_nz_;
     /**
      * tx_alias_[r] = j when Tx row r is the unit selector e_j (its only
-     * nonzero is a 1.0 at column j) — the tap-fused path then reads
+     * nonzero is a 1.0 at column j) — the fp32 path then reads
      * input planes in place instead of copying them into xt. The
      * paper's RI rings have IDENTITY Tx/Tz (their fast algorithm is the
      * algebraic sparsity of the multiplication tensor itself), so their
@@ -273,10 +241,10 @@ class RingConvEngine
     std::vector<double> tz_;
     std::vector<float> tz32_;
     /** Nonzero (r, Tz[i][r]) entries per output component i: the
-     *  tap-fused reconstruction only touches these (identical values
+     *  fp32 reconstruction only touches these (identical values
      *  except through non-finite z, as with zero filter taps). */
     std::vector<std::vector<std::pair<int, float>>> tz32_nz_;
-    /** Tz == I (and m == n): the tap-fused path then accumulates each
+    /** Tz == I (and m == n): the fp32 path then accumulates each
      *  component directly into its output channel rows — no component
      *  scratch band, no reconstruction pass. True for the RI rings. */
     bool identity_tz_ = false;
@@ -285,8 +253,8 @@ class RingConvEngine
     /** Fused epilogue state (row-major n x n, fp32 path only). */
     ConvEpilogue epilogue_ = ConvEpilogue::kNone;
     std::vector<float> u32_, v32_;
-    /** Compiled nonzero-tap lists (sparse_taps): for each (co, r) the
-     *  live taps of g~ in the dense scan's (ci, ky, kx) order.
+    /** Compiled nonzero-tap lists: for each (co, r) the live taps of
+     *  g~ in (ci, ky, kx) order.
      *  sp_off_[co*m+r] .. sp_off_[co*m+r+1] index sp_taps_. */
     struct SparseTap
     {
@@ -306,7 +274,8 @@ class RingConvEngine
  * align-shift metadata the fused Fig. 8 epilogue consumes.
  *
  * conv_rows() computes a row band of one output channel as int32
- * accumulations through the simd::axpy_i32 row kernel. Integer
+ * accumulations through the simd::axpy_i32 row kernel, one pass per
+ * live tap of the channel's compiled nonzero-tap list. Integer
  * addition is exact and order-independent, so the result is
  * bit-identical to the scalar int64 QConvNode oracle whenever the true
  * accumulator fits in int32; int32_safe() proves that bound statically
@@ -329,24 +298,12 @@ class QuantConvKernel
                     const std::vector<int64_t>& bias,
                     std::vector<int> out_frac);
 
-    /**
-     * Iterate the compiled per-channel nonzero-tap lists in conv_rows
-     * instead of scanning the dense ci*k^2 grid (on by default). The
-     * lists keep the dense scan's (ic, ky, kx) order and integer
-     * addition is exact, so the accumulators are bit-identical either
-     * way; off is the A/B dense-schedule baseline.
-     */
-    void set_sparse_taps(bool on) { sparse_taps_ = on; }
-    bool sparse_taps() const { return sparse_taps_; }
-
     /** Zero weights excluded from the compiled tap lists (co*ci*k^2
-     *  minus the nonzero count); 0 when sparse_taps is off. */
+     *  minus the nonzero count). */
     int64_t sparse_tap_skip_count() const
     {
-        return sparse_taps_
-                   ? static_cast<int64_t>(w8_.size()) -
-                         static_cast<int64_t>(taps_.size())
-                   : 0;
+        return static_cast<int64_t>(w8_.size()) -
+               static_cast<int64_t>(taps_.size());
     }
 
     int co() const { return co_; }
@@ -393,7 +350,6 @@ class QuantConvKernel
     };
     std::vector<QTap> taps_;
     std::vector<int64_t> tap_off_;
-    bool sparse_taps_ = true;
 };
 
 /**

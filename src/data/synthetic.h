@@ -2,10 +2,9 @@
  * @file
  * Procedural image generator standing in for the paper's photographic
  * datasets (DIV2K / Waterloo for training; Set5/Set14/BSD100/Urban100/
- * CBSD68 for testing). See DESIGN.md for the substitution argument:
- * every algebra variant trains and tests on identical distributions,
- * so the *relative* quality orderings the paper reports remain
- * meaningful.
+ * CBSD68 for testing). Every algebra variant trains and tests on
+ * identical distributions, so the *relative* quality orderings the
+ * paper reports remain meaningful.
  *
  * Images combine the local structures computational-imaging CNNs must
  * reproduce: smooth shading, oriented band-limited textures, sharp

@@ -1,7 +1,7 @@
 /**
  * @file
  * Hardware cost models (the open substitution for the paper's Synopsys
- * 40 nm synthesis/layout flow — see DESIGN.md).
+ * 40 nm synthesis/layout flow).
  *
  * Three layers of modeling:
  *  1. Bitwidth analysis through the fast-algorithm transforms: an

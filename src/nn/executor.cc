@@ -36,7 +36,7 @@ relu_into(const Tensor& x, Tensor& out)
 // pass could not fold into a conv epilogue) runs the shared
 // nn::directional_relu_forward row kernels — the same per-element
 // ascending-j multiply/add order as the band-fused form in
-// RingConvEngine::conv_band_f32*, so fusion never changes a bit; the
+// RingConvEngine::conv_band_f32_fused, so fusion never changes a bit; the
 // double-precision reference lives in core/ring_conv.cc.
 
 /** IR ops carry the originating layer as const void* (the IR never
@@ -143,8 +143,6 @@ ModelExecutor::lower_ringconv(const plan::OpIR& op)
     RingConvEngineOptions eo;
     eo.threads = opt_.threads;
     eo.strict_fp64 = opt_.strict_fp64;
-    eo.tap_fused = opt_.tap_fused;
-    eo.sparse_taps = opt_.sparse_taps;
     rec->engine = std::make_unique<RingConvEngine>(
         rc->ring(), rc->weights(), rc->bias(), eo);
     rec->engine->set_epilogue(ep, u, v);

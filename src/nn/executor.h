@@ -65,13 +65,6 @@ struct ExecutorOptions
     bool strict_fp64 = false;
     /** Fuse ReLU / DirectionalReLU into the preceding ring conv. */
     bool fuse_epilogues = true;
-    /** Tap-fused engine row kernels (see RingConvEngineOptions); off
-     *  reproduces the PR-4 per-tap kernel schedule, same values. */
-    bool tap_fused = true;
-    /** Compile each engine's nonzero taps into compact tap lists (see
-     *  RingConvEngineOptions::sparse_taps) — bit-identical to the dense
-     *  schedule; off is the dense A/B baseline. */
-    bool sparse_taps = true;
     /**
      * ABFT verification: after every ring-conv pass, compare the
      * output's interior ring-sum against the prediction from the
@@ -114,8 +107,8 @@ class ModelExecutor
     int fallback_step_count() const { return fallback_steps_; }
     /** Zero filter taps the compiled engines excluded from their tap
      *  tables, summed over all ring-conv steps — how much of the model
-     *  was compiled away by sparsity. 0 when sparse_taps is off (or no
-     *  weight is zero). Reflects the engines as last refreshed. */
+     *  was compiled away by sparsity (0 when no weight is zero).
+     *  Reflects the engines as last refreshed. */
     int64_t sparse_tap_skip_count() const;
     /** The backend-neutral plan this executor lowered (introspection
      *  for tests/benches; valid until the next rebind). */

@@ -84,7 +84,6 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
 
     auto kernel = std::make_unique<QuantConvKernel>(
         conv->co, conv->ci, conv->k, conv->w, conv->bias, conv->out_frac);
-    kernel->set_sparse_taps(opt_.sparse_taps);
     const bool dir_ok =
         dir == nullptr ||
         (dir->n >= 1 && dir->n <= kMaxTuple && conv->co % dir->n == 0);

@@ -63,11 +63,6 @@ struct QuantExecOptions
     /** Output rows per conv task; 0 = auto. Any value produces
      *  identical bits — this only shapes the parallel grain. */
     int row_band = 0;
-    /** Iterate each kernel's compiled nonzero-tap lists instead of
-     *  scanning the dense weight grid (QuantConvKernel::sparse_taps).
-     *  Integer addition is exact, so the bits are identical either
-     *  way; off is the dense A/B baseline. */
-    bool sparse_taps = true;
     /**
      * ABFT verification: after every fast-path conv, compare the raw
      * int32 accumulators' interior sum against the EXACT int64
@@ -118,8 +113,7 @@ class QuantExecutor
     int scalar_conv_count() const { return scalar_convs_; }
     /** Zero weights the compiled kernels excluded from their tap
      *  lists, summed over the fast convs (the quantized mirror of
-     *  nn::ModelExecutor::sparse_tap_skip_count). 0 when sparse_taps
-     *  is off. */
+     *  nn::ModelExecutor::sparse_tap_skip_count). */
     int64_t sparse_tap_skip_count() const
     {
         int64_t skipped = 0;

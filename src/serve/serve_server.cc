@@ -156,7 +156,6 @@ class Int8Backend final : public ServeServer::Backend
         : model_(model), cache_(opt.max_plans)
     {
         qopt_.threads = opt.executor.threads;
-        qopt_.sparse_taps = opt.executor.sparse_taps;
         qopt_.verify_checksums = opt.executor.verify_checksums;
     }
 
@@ -327,26 +326,24 @@ ServeServer::enqueue(Request req, const Shape& shape)
     // them: a NaN never reaches a kernel pass, never co-batches with
     // healthy requests, and shows up typed instead of as downstream
     // checksum noise. Scanned here on the submitter's thread.
-    if (opt_.validate_inputs) {
-        const Tensor& x = req.input();
-        const float* p = x.data();
-        const int64_t m = x.numel();
-        bool finite = true;
-        for (int64_t i = 0; i < m && finite; ++i) {
-            finite = std::isfinite(p[i]);
+    const Tensor& x = req.input();
+    const float* p = x.data();
+    const int64_t numel = x.numel();
+    bool finite = true;
+    for (int64_t i = 0; i < numel && finite; ++i) {
+        finite = std::isfinite(p[i]);
+    }
+    if (!finite) {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            ++stats_.requests;
+            ++stats_.rejected_inputs;
+            ++stats_.failed;
         }
-        if (!finite) {
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.requests;
-                ++stats_.rejected_inputs;
-                ++stats_.failed;
-            }
-            req.promise.set_exception(std::make_exception_ptr(
-                InvalidInputError("ringcnn: serve request contains "
-                                  "non-finite values")));
-            return fut;
-        }
+        req.promise.set_exception(std::make_exception_ptr(
+            InvalidInputError("ringcnn: serve request contains "
+                              "non-finite values")));
+        return fut;
     }
     {
         std::unique_lock<std::mutex> lock(mu_);
@@ -424,7 +421,6 @@ ServeServer::health() const
 double
 ServeServer::effective_linger_ms(const ServeOptions& opt, size_t queue_depth)
 {
-    if (!opt.adaptive_linger) return opt.linger_ms;
     // Linear schedule: the full cap when the bucket is idle, zero once
     // a batch is formed. A deeper queue never waits LONGER than a
     // shallower one (monotonicity, pinned in test_serve).
@@ -588,7 +584,7 @@ ServeServer::worker_loop()
         // serialized submissions); a SOLO batch keeps the pool fan-out
         // so one hot shape still uses the whole machine.
         std::unique_ptr<util::InlineGuard> guard;
-        if (opt_.inline_kernels && !solo) {
+        if (!solo) {
             guard = std::make_unique<util::InlineGuard>();
         }
 

@@ -16,10 +16,11 @@
  *  - each batch runs through a per-shape PlanCache (see plan_cache.h)
  *    of compiled plans — LRU-bounded; an eviction REBINDS the oldest
  *    plan onto the incoming shape instead of recompiling from scratch;
- *  - batches execute on ServeOptions::workers server threads. By
- *    default each worker runs its batch's kernels inline
- *    (util::InlineGuard), so concurrent workers use distinct cores
- *    instead of oversubscribing the shared pool.
+ *  - batches execute on ServeOptions::workers server threads. When
+ *    several batches execute concurrently, each worker runs its
+ *    batch's kernels inline (util::InlineGuard), so concurrent workers
+ *    use distinct cores instead of oversubscribing the shared pool; a
+ *    solo batch keeps the pool fan-out.
  *
  * Overload control: real-time camera pipelines see arrival rates that
  * exceed capacity, and an unbounded queue converts overload into
@@ -35,12 +36,17 @@
  * batches that surviving requests land in: responses stay
  * bit-identical to single-request inference.
  *
- * Linger policy: by default the linger window adapts to queue depth —
- * an idle bucket may wait the full linger_ms cap for peers to arrive,
- * but as the bucket fills toward max_batch the window shrinks linearly
- * to zero (a nearly-full batch amortizes well already; waiting only
- * adds latency). ServeOptions::adaptive_linger=false restores the
- * fixed window for A/B comparison.
+ * Linger policy: the linger window adapts to queue depth — an idle
+ * bucket may wait the full linger_ms cap for peers to arrive, but as
+ * the bucket fills toward max_batch the window shrinks linearly to
+ * zero (a nearly-full batch amortizes well already; waiting only adds
+ * latency).
+ *
+ * Input validation: inputs containing NaN/Inf are rejected at submit —
+ * the future fails fast with InvalidInputError (counted in
+ * ServeStats::rejected_inputs) and no batch forms around the poisoned
+ * tensor. The scan runs on the submitter's thread, one read pass over
+ * the image.
  *
  * Shutdown: stop(StopMode::kDrain) atomically closes admission (a
  * later submit throws ShutdownError) and dispatches every accepted
@@ -158,15 +164,10 @@ struct ServeOptions
     int max_batch = 8;
     /** Linger CAP: the longest a non-full bucket may wait for more
      *  requests before it is dispatched anyway, in milliseconds.
-     *  0 dispatches eagerly. With adaptive_linger the effective window
-     *  shrinks from this cap toward 0 as the bucket fills. */
+     *  0 dispatches eagerly. A bucket with d queued requests waits at
+     *  most linger_ms * (1 - d/max_batch) — the full cap when idle,
+     *  nothing when a batch is nearly formed. */
     double linger_ms = 0.2;
-    /** Queue-depth-aware linger (default): a bucket with d queued
-     *  requests waits at most linger_ms * (1 - d/max_batch) — the full
-     *  cap when idle, nothing when a batch is nearly formed. false
-     *  restores the fixed linger_ms window (the pre-overload-control
-     *  policy, kept for A/B). */
-    bool adaptive_linger = true;
     /** Bound on accepted-but-unfinished requests (queued + in flight).
      *  0 = unbounded (the pre-overload-control behavior). */
     uint64_t max_queue = 0;
@@ -178,19 +179,6 @@ struct ServeOptions
     int workers = 0;
     /** Compiled-plan (per-shape executor) cache bound (>= 1). */
     int max_plans = 8;
-    /** When several batches execute concurrently, run each one's
-     *  kernels inline on its server worker (util::InlineGuard) instead
-     *  of all of them contending for the shared pool — the
-     *  anti-oversubscription policy. A SOLO batch always keeps the
-     *  pool fan-out, so a single hot shape still uses every core.
-     *  Disable to always fan out on the pool. */
-    bool inline_kernels = true;
-    /** Reject inputs containing NaN/Inf at submit: the future fails
-     *  fast with InvalidInputError (counted in
-     *  ServeStats::rejected_inputs) and no batch forms around the
-     *  poisoned tensor. The scan runs on the submitter's thread, one
-     *  read pass over the image. */
-    bool validate_inputs = true;
     /** Degrade-and-retry: when a batch fails mid-run (a
      *  plan::IntegrityError from ABFT verification, or any kernel
      *  exception), re-run it ONCE on a freshly compiled fallback
@@ -201,8 +189,8 @@ struct ServeOptions
      *  source weights). See ServeStats::retries / retry_successes. */
     bool retry_on_fault = true;
     /** Plan-compile knobs forwarded to every cached ModelExecutor
-     *  (fp32 backend; the int8 backend maps `executor.threads`,
-     *  `executor.sparse_taps` and `executor.verify_checksums`). */
+     *  (fp32 backend; the int8 backend maps `executor.threads` and
+     *  `executor.verify_checksums`). */
     nn::ExecutorOptions executor;
 };
 
@@ -327,8 +315,7 @@ class ServeServer
     /** The linger policy, exposed pure for tests: how long a bucket
      *  holding `queue_depth` requests may keep waiting. Monotonically
      *  non-increasing in depth; equals opt.linger_ms at depth 0 and 0
-     *  at depth >= max_batch (adaptive), or opt.linger_ms flat when
-     *  adaptive_linger is off. */
+     *  at depth >= max_batch. */
     static double effective_linger_ms(const ServeOptions& opt,
                                       size_t queue_depth);
 

@@ -213,48 +213,6 @@ TEST(ModelExecutor, SupportsTwoBranchSuperResolutionModels)
     EXPECT_LT(max_abs_diff(got, want), 1e-4);
 }
 
-class ExecutorTapFusedAllRings : public ::testing::TestWithParam<std::string>
-{
-};
-
-TEST_P(ExecutorTapFusedAllRings, TapFusedMatchesPerTapKernels)
-{
-    // The tap-fused engine schedule (fused row passes, identity-Tx
-    // aliasing, nonzero-only reconstruction) must reproduce the PR-4
-    // per-tap schedule exactly — same values on every element — for
-    // every ring, on a real backbone with fused epilogues.
-    const Ring& ring = get_ring(GetParam());
-    const models::Algebra alg = models::Algebra::with_fcw(ring.name);
-    nn::Model model = models::build_dn_ernet_pu(alg, small_cfg());
-
-    std::mt19937 rng(47);
-    Tensor x({3, 16, 16});
-    x.rand_uniform(rng, 0.0f, 1.0f);
-
-    nn::ExecutorOptions fused_opt;  // tap_fused defaults on
-    nn::ModelExecutor fused(model, {3, 16, 16}, fused_opt);
-    nn::ExecutorOptions unfused_opt;
-    unfused_opt.tap_fused = false;
-    nn::ModelExecutor unfused(model, {3, 16, 16}, unfused_opt);
-
-    const Tensor want = unfused.run(x);
-    const Tensor got = fused.run(x);
-    ASSERT_EQ(got.shape(), want.shape());
-    for (int64_t i = 0; i < want.numel(); ++i) {
-        ASSERT_EQ(got[i], want[i]) << ring.name << " flat " << i;
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllRings, ExecutorTapFusedAllRings,
-                         ::testing::ValuesIn(all_ring_names()),
-                         [](const auto& info) {
-                             std::string n = info.param;
-                             for (char& c : n) {
-                                 if (c == '-') c = '_';
-                             }
-                             return n;
-                         });
-
 TEST(ModelExecutor, CompilesDepthwiseAndUpsampleSteps)
 {
     // DepthwiseConv2d and UpsampleBilinearLayer previously fell through

@@ -14,6 +14,8 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <stdexcept>
+#include <string>
 
 #include "core/ring_conv_engine.h"
 #include "nn/layer.h"
@@ -227,6 +229,55 @@ INSTANTIATE_TEST_SUITE_P(AllRings, EngineAllRings,
                              }
                              return n;
                          });
+
+TEST(RingConvEngine, WideRingsNeedStrictFp64)
+{
+    // RI8 zero-padded to m = 17 multiplications: the same ring with
+    // nine dead components. The fp32 band pass keeps tuple rows in
+    // 16-entry arrays, so an fp32 engine must refuse it with a typed
+    // error; the strict fp64 oracle accepts any m and must not move a
+    // bit.
+    const Ring& ri8 = get_ring("RI8");
+    constexpr int kWideM = 17;
+    Ring wide = ri8;
+    wide.name = "RI8-pad17";
+    const auto pad_rows = [](const Matd& a) {
+        Matd p(kWideM, a.cols());
+        for (int r = 0; r < a.rows(); ++r) {
+            for (int c = 0; c < a.cols(); ++c) p.at(r, c) = a.at(r, c);
+        }
+        return p;
+    };
+    wide.fast.tg = pad_rows(ri8.fast.tg);
+    wide.fast.tx = pad_rows(ri8.fast.tx);
+    wide.fast.tz = pad_rows(ri8.fast.tz.transposed()).transposed();
+    ASSERT_EQ(wide.fast.m(), kWideM);
+
+    std::mt19937 rng(96);
+    const RingConvWeights w = random_weights(2, 2, 3, ri8.n, rng);
+    const std::vector<float> bias = random_bias(2 * ri8.n, rng);
+    Tensor x({2 * ri8.n, 7, 6});
+    x.randn(rng);
+
+    try {
+        RingConvEngine fp32(wide, w, bias);
+        FAIL() << "fp32 engine accepted m=17";
+    } catch (const std::invalid_argument& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("RI8-pad17"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("m=17"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("n=8"), std::string::npos) << msg;
+    }
+
+    RingConvEngineOptions strict;
+    strict.strict_fp64 = true;
+    const Tensor want = RingConvEngine(ri8, w, bias, strict).run(x);
+    expect_bit_identical(RingConvEngine(wide, w, bias, strict).run(x), want,
+                         "strict RI8 padded to m=17");
+    // ring_conv_fast builds a strict engine, so it keeps accepting it.
+    expect_bit_identical(ring_conv_fast(wide, x, w, bias), want,
+                         "ring_conv_fast RI8 padded to m=17");
+}
 
 TEST(RingConvEngine, BatchedRunMatchesSingleRuns)
 {

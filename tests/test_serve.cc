@@ -410,14 +410,14 @@ TEST(ServeServer, ShedBeyondMaxQueueIsTypedAndLossesNeverPerturbBatches)
     x.rand_uniform(rng, 0.0f, 1.0f);
     const Tensor want = model.infer(x);
 
-    // max_batch 8 with a long fixed linger: the first batch cannot
-    // dispatch while the burst is submitted, so admissions beyond
-    // max_queue=2 shed deterministically.
+    // max_batch 8 with a long linger (45 ms at the admitted depth of
+    // 2): the first batch cannot dispatch while the burst is
+    // submitted, so admissions beyond max_queue=2 shed
+    // deterministically.
     serve::ServeOptions opt;
     opt.workers = 1;
     opt.max_batch = 8;
-    opt.linger_ms = 40.0;
-    opt.adaptive_linger = false;
+    opt.linger_ms = 60.0;
     opt.max_queue = 2;
     opt.admission = serve::Admission::kShed;
     serve::ServeServer server(model, opt);
@@ -514,8 +514,7 @@ TEST(ServeServer, ExpiredDeadlineDroppedAtBatchFormation)
     serve::ServeOptions opt;
     opt.workers = 1;
     opt.max_batch = 8;
-    opt.linger_ms = 10.0;
-    opt.adaptive_linger = false;
+    opt.linger_ms = 15.0;
     serve::ServeServer server(model, opt);
 
     // An already-expired request and a live one land in the same
@@ -558,7 +557,6 @@ TEST(ServeServer, AdaptiveLingerIsMonotoneInQueueDepth)
     serve::ServeOptions opt;
     opt.linger_ms = 4.0;
     opt.max_batch = 8;
-    opt.adaptive_linger = true;
     // Idle bucket waits the full cap; a formed batch waits nothing;
     // in between, deeper queue => never a LONGER linger.
     EXPECT_DOUBLE_EQ(serve::ServeServer::effective_linger_ms(opt, 0), 4.0);
@@ -574,13 +572,6 @@ TEST(ServeServer, AdaptiveLingerIsMonotoneInQueueDepth)
         serve::ServeServer::effective_linger_ms(opt, 8), 0.0);
     EXPECT_DOUBLE_EQ(
         serve::ServeServer::effective_linger_ms(opt, 100), 0.0);
-
-    // The fixed policy (A/B baseline) ignores depth entirely.
-    opt.adaptive_linger = false;
-    for (size_t depth = 0; depth <= 12; ++depth) {
-        EXPECT_DOUBLE_EQ(
-            serve::ServeServer::effective_linger_ms(opt, depth), 4.0);
-    }
 }
 
 TEST(ServeServer, MalformedSubmissionsLeaveMeanBatchUnchanged)
@@ -686,14 +677,13 @@ TEST(ServeServer, AbortFailsQueuedFuturesTyped)
     Tensor x({3, 16, 16});
     x.rand_uniform(rng, 0.0f, 1.0f);
 
-    // A huge linger with an unfillable batch keeps every request
-    // queued; kAbort must fail them all typed — promises are KEPT
-    // (with an error), not broken.
+    // A huge linger with an unfillable batch (still 4.6 s at depth 5
+    // of 64) keeps every request queued; kAbort must fail them all
+    // typed — promises are KEPT (with an error), not broken.
     serve::ServeOptions opt;
     opt.workers = 1;
     opt.max_batch = 64;
     opt.linger_ms = 5000.0;
-    opt.adaptive_linger = false;
     serve::ServeServer server(model, opt);
 
     constexpr int kQueued = 5;
@@ -721,8 +711,9 @@ TEST(ServeServer, TwoShapesTwoWorkersDispatchWithoutOversleeping)
     // bucket now notifies a parked peer when OTHER buckets are also
     // dispatchable — without it, the second shape could oversleep
     // until the next submit, up to a full linger window of avoidable
-    // p99. With a 300 ms linger, both shapes completing well under one
-    // window proves neither waited it out.
+    // p99. A 600 ms linger cap leaves a 300 ms window for a max_batch=2
+    // bucket holding one request; both shapes completing well under
+    // that window proves neither waited it out.
     nn::Model model = small_model();
     std::mt19937 rng(66);
     Tensor xa({3, 16, 16}), xb({3, 8, 8});
@@ -734,8 +725,7 @@ TEST(ServeServer, TwoShapesTwoWorkersDispatchWithoutOversleeping)
     serve::ServeOptions opt;
     opt.workers = 2;
     opt.max_batch = 2;
-    opt.linger_ms = 300.0;
-    opt.adaptive_linger = false;
+    opt.linger_ms = 600.0;
     serve::ServeServer server(model, opt);
     // Warm both plans so compile time stays out of the timing check.
     server.submit(Tensor(xa)).get();

@@ -2,14 +2,14 @@
  * @file
  * Sparsity-compiled kernel tests: ring-DOF pruning must COMPILE AWAY —
  * pruned tap tuples never enter the engines' compiled tap tables — and
- * doing so must not move a single bit.
+ * the compiled engines must stay pinned to the oracles.
  *
- *  - fp32: the sparse tap-table schedule is bit-identical to the dense
- *    tap-fused schedule AND the unfused PR-4 schedule with the same
- *    weights zeroed, across every registered ring, k in {1, 3}, and
- *    ring-DOF densities {1.0, 0.5, 0.25, 0.0};
- *  - int8: the quantized executor's sparse schedule is bit-identical
- *    to its dense schedule and to the scalar int64 QNode oracle;
+ *  - fp32: the compiled tap-table schedule tracks the strict fp64
+ *    executor on the same pruned weights (within 1e-4), across every
+ *    registered ring, k in {1, 3}, and ring-DOF densities
+ *    {1.0, 0.5, 0.25, 0.0};
+ *  - int8: the quantized executor's compiled-tap schedule is
+ *    bit-identical to the scalar int64 QNode oracle;
  *  - the plan IR carries the nonzero-tap annotation (emitted during
  *    linearize from the live weights, surviving fuse_epilogues), the
  *    dump prints it, and the int8 plan's tuple-block counts agree with
@@ -38,6 +38,7 @@
 #include "quant/quant_executor.h"
 #include "quant/quant_model.h"
 #include "sim/accelerator.h"
+#include "tensor/image_ops.h"
 
 namespace ringcnn {
 namespace {
@@ -82,27 +83,9 @@ expect_bitwise_equal(const Tensor& a, const Tensor& b,
         << label;
 }
 
-/** Bitwise equality up to the sign of exact zeros: the tap-fused
- *  accumulator starts from its first term where the unfused one starts
- *  from +0.0, so elements whose every term is -0.0 differ in zero sign
- *  only (documented in RingConvEngineOptions::tap_fused). */
-void
-expect_value_equal(const Tensor& a, const Tensor& b,
-                   const std::string& label)
-{
-    ASSERT_EQ(a.shape(), b.shape()) << label;
-    const float* pa = a.data();
-    const float* pb = b.data();
-    for (int64_t i = 0; i < a.numel(); ++i) {
-        if (pa[i] == 0.0f && pb[i] == 0.0f) continue;  // +-0 compare equal
-        ASSERT_EQ(std::memcmp(pa + i, pb + i, sizeof(float)), 0)
-            << label << " at " << i << ": " << pa[i] << " vs " << pb[i];
-    }
-}
-
 constexpr double kDensities[] = {1.0, 0.5, 0.25, 0.0};
 
-TEST(SparseKernels, Fp32SparseVsDenseVsUnfusedBitIdentity)
+TEST(SparseKernels, Fp32CompiledTapsTrackStrictOracle)
 {
     for (const std::string& ring_name : all_ring_names()) {
         const Ring& ring = get_ring(ring_name);
@@ -116,25 +99,17 @@ TEST(SparseKernels, Fp32SparseVsDenseVsUnfusedBitIdentity)
                 const int c = backbone_channels(ring_name);
                 const Tensor x = rand_image(c, rng);
 
-                nn::ExecutorOptions sparse_opt;  // sparse_taps = true
-                nn::ExecutorOptions dense_opt;
-                dense_opt.sparse_taps = false;
-                nn::ExecutorOptions unfused_opt;
-                unfused_opt.sparse_taps = false;
-                unfused_opt.tap_fused = false;
-
-                nn::ModelExecutor sparse(model, x.shape(), sparse_opt);
-                nn::ModelExecutor dense(model, x.shape(), dense_opt);
-                nn::ModelExecutor unfused(model, x.shape(), unfused_opt);
+                nn::ModelExecutor sparse(model, x.shape());
+                nn::ExecutorOptions strict_opt;
+                strict_opt.strict_fp64 = true;
+                nn::ModelExecutor strict(model, x.shape(), strict_opt);
                 const Tensor ys = sparse.run(x);
-                expect_bitwise_equal(ys, dense.run(x), label + " vs dense");
-                expect_value_equal(ys, unfused.run(x),
-                                   label + " vs unfused");
+                const Tensor yo = strict.run(x);
+                ASSERT_EQ(ys.shape(), yo.shape()) << label;
+                EXPECT_LT(max_abs_diff(ys, yo), 1e-4) << label;
 
-                // The dense schedule compiles nothing away; the sparse
-                // schedule excludes exactly the zero transformed taps
-                // (all of them at density 0).
-                EXPECT_EQ(dense.sparse_tap_skip_count(), 0) << label;
+                // The compiled tables exclude exactly the zero
+                // transformed taps (all of them at density 0).
                 EXPECT_GE(sparse.sparse_tap_skip_count(), 0) << label;
                 if (density == 0.0) {
                     const int c_t = c / ring.n;
@@ -148,7 +123,7 @@ TEST(SparseKernels, Fp32SparseVsDenseVsUnfusedBitIdentity)
     }
 }
 
-TEST(SparseKernels, Int8SparseVsDenseVsScalarOracleBitIdentity)
+TEST(SparseKernels, Int8CompiledTapsMatchScalarOracle)
 {
     for (const std::string& ring_name : all_ring_names()) {
         for (int k : {1, 3}) {
@@ -164,18 +139,12 @@ TEST(SparseKernels, Int8SparseVsDenseVsScalarOracleBitIdentity)
                 quant::QuantizedModel qm(model, calib);
 
                 const quant::QAct in = qm.quantize_input(rand_image(c, rng));
-                quant::QuantExecOptions dense_opt;
-                dense_opt.sparse_taps = false;
                 quant::QuantExecutor sparse(qm);
-                quant::QuantExecutor dense(qm, dense_opt);
                 const quant::QAct ys = sparse.run(in);
-                const quant::QAct yd = dense.run(in);
                 const quant::QAct yo = qm.root()->forward(in);
-                EXPECT_EQ(ys.v, yd.v) << label << " sparse vs dense";
                 EXPECT_EQ(ys.v, yo.v) << label << " sparse vs oracle";
                 EXPECT_EQ(ys.frac, yo.frac) << label;
 
-                EXPECT_EQ(dense.sparse_tap_skip_count(), 0) << label;
                 if (density == 0.0 && sparse.fast_conv_count() == 2) {
                     // All expanded weights are zero: every tap of both
                     // convs was compiled away.
