@@ -325,10 +325,13 @@ main(int argc, char** argv)
 
     const double q_st_speedup = q_scalar_ms / q_eng_st_ms;
     const double q_mt_speedup = q_scalar_ms / q_eng_mt_ms;
+    // int8 engine time relative to the fp32 executor on the same
+    // backbone, both single-threaded (< 1: int8 is the faster path).
+    const double q_vs_fp32_st = q_eng_st_ms / exec_st_ms;
     std::printf("  int8:          scalar %.2f ms  engine %.2f ms (%.1fx)  "
-                "engine-8t %.2f ms (%.1fx)  bit-exact=%s\n",
+                "engine-8t %.2f ms (%.1fx)  vs fp32 %.2fx  bit-exact=%s\n",
                 q_scalar_ms, q_eng_st_ms, q_st_speedup, q_eng_mt_ms,
-                q_mt_speedup, int8_bit_exact ? "yes" : "NO");
+                q_mt_speedup, q_vs_fp32_st, int8_bit_exact ? "yes" : "NO");
 
     double train_scalar_ms = 0.0, train_simd_st_ms = 0.0,
            train_simd_mt_ms = 0.0;
@@ -1136,6 +1139,7 @@ main(int argc, char** argv)
     std::fprintf(f, "    \"st_speedup\": %.3f,\n", q_st_speedup);
     std::fprintf(f, "    \"engine_mt_ms\": %.4f,\n", q_eng_mt_ms);
     std::fprintf(f, "    \"mt_speedup\": %.3f,\n", q_mt_speedup);
+    std::fprintf(f, "    \"engine_st_vs_fp32_st\": %.3f,\n", q_vs_fp32_st);
     std::fprintf(f, "    \"bit_exact\": %s\n",
                  int8_bit_exact ? "true" : "false");
     std::fprintf(f, "  },\n");

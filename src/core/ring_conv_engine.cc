@@ -810,7 +810,7 @@ QuantConvKernel::QuantConvKernel(int co, int ci, int k,
             std::clamp(w[i], INT32_C(-128), INT32_C(127)));
     }
     // Fault site: a bit flip in the pre-quantized weight store, before
-    // the nonzero-tap lists compile from it (so the corruption reaches
+    // the pair-tap tables compile from it (so the corruption reaches
     // the compiled taps).
     uint64_t fault_token;
     if (util::fault_check("int8.weights", &fault_token)) {
@@ -823,31 +823,80 @@ QuantConvKernel::QuantConvKernel(int co, int ci, int k,
         if (b < INT32_MIN || b > INT32_MAX) fits_ = false;
         bias_[static_cast<size_t>(oc)] = static_cast<int32_t>(
             std::clamp<int64_t>(b, INT32_MIN, INT32_MAX));
-        double s = std::abs(static_cast<double>(b));
+        double s = 0.0;
         const size_t base = static_cast<size_t>(oc) * ci * k * k;
         for (size_t t = 0; t < static_cast<size_t>(ci) * k * k; ++t) {
             s += std::abs(static_cast<double>(w[base + t]));
         }
-        // |bias| + sum |w|: acc_bound scales only the weight part by
-        // the input magnitude, so stash sum |w| and re-add |bias| there.
-        abs_sum_[static_cast<size_t>(oc)] =
-            s - std::abs(static_cast<double>(b));
+        abs_sum_[static_cast<size_t>(oc)] = s;
     }
 
-    // Compiled nonzero-tap lists, in (ic, ky, kx) order per output
-    // channel. A pruned ring tuple expands to an
-    // all-zero n x n weight block, so its taps never enter the lists.
+    // Output-use signature of each input channel: the output channels
+    // with a nonzero weight on it. Channels with equal signatures pair
+    // in order (a component-wise ring's tuple t with tuple t+1 of the
+    // same component), so the packed pairs rarely carry a zero half;
+    // the leftovers pair in order, an odd one out with zero. A channel
+    // no output reads is never staged.
+    const size_t kk = static_cast<size_t>(k) * k;
+    std::vector<std::vector<bool>> sig(static_cast<size_t>(ci),
+                                       std::vector<bool>(co, false));
+    for (int oc = 0; oc < co; ++oc) {
+        for (int ic = 0; ic < ci; ++ic) {
+            const int8_t* wt =
+                w8_.data() + (static_cast<size_t>(oc) * ci + ic) * kk;
+            for (size_t t = 0; t < kk; ++t) {
+                if (wt[t] != 0) {
+                    sig[static_cast<size_t>(ic)][static_cast<size_t>(oc)] =
+                        true;
+                } else {
+                    ++zero_weights_;
+                }
+            }
+        }
+    }
+    std::vector<bool> paired(static_cast<size_t>(ci), false);
+    std::vector<int> leftovers;
+    for (int a = 0; a < ci; ++a) {
+        const auto& sa = sig[static_cast<size_t>(a)];
+        if (paired[static_cast<size_t>(a)]) continue;
+        paired[static_cast<size_t>(a)] = true;
+        if (std::find(sa.begin(), sa.end(), true) == sa.end()) continue;
+        int b = a + 1;
+        while (b < ci && (paired[static_cast<size_t>(b)] ||
+                          sig[static_cast<size_t>(b)] != sa)) {
+            ++b;
+        }
+        if (b < ci) {
+            paired[static_cast<size_t>(b)] = true;
+            pair_a_.push_back(a);
+            pair_b_.push_back(b);
+        } else {
+            leftovers.push_back(a);
+        }
+    }
+    for (size_t i = 0; i < leftovers.size(); i += 2) {
+        pair_a_.push_back(leftovers[i]);
+        pair_b_.push_back(i + 1 < leftovers.size() ? leftovers[i + 1] : -1);
+    }
+
+    // Packed pair taps per output channel; a tap whose two weights are
+    // both zero adds nothing and never enters the table.
     tap_off_.assign(static_cast<size_t>(co) + 1, 0);
     for (int oc = 0; oc < co; ++oc) {
-        const int8_t* wt =
-            w8_.data() + static_cast<size_t>(oc) * ci * k * k;
-        for (int ic = 0; ic < ci; ++ic) {
+        const int8_t* wt = w8_.data() + static_cast<size_t>(oc) * ci * kk;
+        for (int p = 0; p < pairs(); ++p) {
+            const int a = pair_a_[static_cast<size_t>(p)];
+            const int b = pair_b_[static_cast<size_t>(p)];
             for (int ky = 0; ky < k; ++ky) {
                 for (int kx = 0; kx < k; ++kx) {
-                    const int32_t wv =
-                        wt[(static_cast<size_t>(ic) * k + ky) * k + kx];
-                    if (wv == 0) continue;
-                    taps_.push_back({ic, ky, kx, wv});
+                    const size_t t = static_cast<size_t>(ky) * k + kx;
+                    const int16_t wa = wt[static_cast<size_t>(a) * kk + t];
+                    const int16_t wb =
+                        b < 0 ? 0 : wt[static_cast<size_t>(b) * kk + t];
+                    if (wa == 0 && wb == 0) continue;
+                    taps_.push_back({p, ky, kx});
+                    tap_w_.push_back(wa);
+                    tap_w_.push_back(wb);
                 }
             }
         }
@@ -857,48 +906,107 @@ QuantConvKernel::QuantConvKernel(int co, int ci, int k,
 }
 
 double
-QuantConvKernel::acc_bound(int in_bits) const
+QuantConvKernel::channel_bound(int oc, int in_bits) const
 {
     // Bias magnitudes come from the clamped int32 copy; when the int64
     // original did not fit, fits_ is false and int32_safe() already
     // rejects the kernel, so the clamped value cannot understate risk.
-    const double amax = std::ldexp(1.0, in_bits - 1);  // |min_int|
+    return std::abs(static_cast<double>(bias_[static_cast<size_t>(oc)])) +
+           abs_sum_[static_cast<size_t>(oc)] * std::ldexp(1.0, in_bits - 1);
+}
+
+double
+QuantConvKernel::acc_bound(int in_bits) const
+{
     double bound = 0.0;
     for (int oc = 0; oc < co_; ++oc) {
-        const double b =
-            std::abs(static_cast<double>(bias_[static_cast<size_t>(oc)]));
-        bound = std::max(bound,
-                         b + abs_sum_[static_cast<size_t>(oc)] * amax);
+        bound = std::max(bound, channel_bound(oc, in_bits));
     }
     return bound;
 }
 
 void
-QuantConvKernel::conv_rows(const int32_t* x, int h, int wd, int oc, int y0,
-                           int y1, int32_t* dst) const
+QuantConvKernel::stage(const int16_t* x, int h, int w, int oc0, int oc1,
+                       int y0, int y1, Band& band) const
 {
     const int pad = k_ / 2;
-    const int bh = y1 - y0;
-    const int64_t plane = static_cast<int64_t>(h) * wd;
-    std::fill_n(dst, static_cast<size_t>(bh) * wd,
-                bias_[static_cast<size_t>(oc)]);
-    // One row-kernel pass per compiled nonzero tap; zero taps never
-    // entered the list (adding zero is value-neutral).
-    const int64_t t1 = tap_off_[static_cast<size_t>(oc) + 1];
-    for (int64_t t = tap_off_[static_cast<size_t>(oc)]; t < t1; ++t) {
-        const QTap& qt = taps_[static_cast<size_t>(t)];
-        const int32_t* x_ch = x + static_cast<int64_t>(qt.ic) * plane;
-        const int yy_lo = std::max(y0, pad - qt.ky);
-        const int yy_hi = std::min(y1, h + pad - qt.ky);
-        const int x_lo = std::max(0, pad - qt.kx);
-        const int x_hi = std::min(wd, wd + pad - qt.kx);
-        const int shift_y = qt.ky - pad, shift_x = qt.kx - pad;
-        for (int y = yy_lo; y < yy_hi; ++y) {
-            int32_t* drow = dst + static_cast<size_t>(y - y0) * wd;
-            const int32_t* irow =
-                x_ch + static_cast<int64_t>(y + shift_y) * wd + shift_x;
-            simd::axpy_i32(drow + x_lo, irow + x_lo, qt.w, x_hi - x_lo);
+    band.y0 = y0;
+    band.y1 = y1;
+    band.w = w;
+    band.local.assign(pair_a_.size(), -1);
+    for (int64_t t = tap_off_[static_cast<size_t>(oc0)];
+         t < tap_off_[static_cast<size_t>(oc1)]; ++t) {
+        band.local[static_cast<size_t>(taps_[static_cast<size_t>(t)].pair)] = 0;
+    }
+    int staged = 0;
+    for (int& l : band.local) {
+        if (l == 0) l = staged++;
+    }
+    const int64_t sw = 2 * (static_cast<int64_t>(w) + 2 * pad);  // int16s
+    const int64_t sh = static_cast<int64_t>(y1 - y0) + 2 * pad;
+    const size_t need = static_cast<size_t>(staged * sh * sw);
+    if (band.words.size() < need) band.words.resize(need);
+    const int64_t plane = static_cast<int64_t>(h) * w;
+    for (int p = 0; p < pairs(); ++p) {
+        const int l = band.local[static_cast<size_t>(p)];
+        if (l < 0) continue;
+        const int16_t* xa = x + pair_a_[static_cast<size_t>(p)] * plane;
+        const int b = pair_b_[static_cast<size_t>(p)];
+        const int16_t* xb = b < 0 ? nullptr : x + b * plane;
+        int16_t* dst = band.words.data() + l * sh * sw;
+        for (int64_t r = 0; r < sh; ++r, dst += sw) {
+            const int64_t y = y0 - pad + r;
+            if (y < 0 || y >= h) {
+                std::fill_n(dst, sw, static_cast<int16_t>(0));
+                continue;
+            }
+            std::fill_n(dst, 2 * pad, static_cast<int16_t>(0));
+            std::fill_n(dst + sw - 2 * pad, 2 * pad, static_cast<int16_t>(0));
+            int16_t* d = dst + 2 * pad;
+            const int16_t* ra = xa + y * w;
+            if (xb != nullptr) {
+                const int16_t* rb = xb + y * w;
+                for (int i = 0; i < w; ++i) {
+                    d[2 * i] = ra[i];
+                    d[2 * i + 1] = rb[i];
+                }
+            } else {
+                for (int i = 0; i < w; ++i) {
+                    d[2 * i] = ra[i];
+                    d[2 * i + 1] = 0;
+                }
+            }
         }
+    }
+}
+
+void
+QuantConvKernel::conv_band(Band& band, int oc, int32_t* dst) const
+{
+    const int pad = k_ / 2;
+    const int w = band.w;
+    const int bh = band.y1 - band.y0;
+    const int64_t sw = static_cast<int64_t>(w) + 2 * pad;  // pair words
+    const int64_t plane = (static_cast<int64_t>(bh) + 2 * pad) * sw;
+    const int64_t t0 = tap_off_[static_cast<size_t>(oc)];
+    const int ntaps =
+        static_cast<int>(tap_off_[static_cast<size_t>(oc) + 1] - t0);
+    // Output (y, x) reads staged row (y - y0) + ky, column x + kx.
+    band.offsets.resize(static_cast<size_t>(ntaps));
+    for (int t = 0; t < ntaps; ++t) {
+        const PairTap& pt = taps_[static_cast<size_t>(t0 + t)];
+        band.offsets[static_cast<size_t>(t)] =
+            band.local[static_cast<size_t>(pt.pair)] * plane + pt.ky * sw +
+            pt.kx;
+    }
+    std::fill_n(dst, static_cast<size_t>(bh) * w,
+                bias_[static_cast<size_t>(oc)]);
+    if (ntaps == 0) return;  // the band may have staged nothing
+    const int16_t* coeffs = tap_w_.data() + 2 * t0;
+    for (int r = 0; r < bh; ++r) {
+        simd::madd_rows_i16(dst + static_cast<int64_t>(r) * w,
+                            band.words.data() + 2 * r * sw,
+                            band.offsets.data(), coeffs, ntaps, w);
     }
 }
 

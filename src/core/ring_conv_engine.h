@@ -268,20 +268,30 @@ class RingConvEngine
 
 /**
  * Cached integer-conv state for the quantized engine path (paper
- * Section IV-C): the expanded real conv weights pre-quantized to int8
- * in band-contiguous [oc][ic][ky][kx] tap order, the int32 bias, and
- * the per-output-band accumulator fractional widths (`out_frac`) — the
- * align-shift metadata the fused Fig. 8 epilogue consumes.
+ * Section IV-C): the expanded real conv weights pre-quantized to int8,
+ * the int32 bias, and the per-output-band accumulator fractional widths
+ * (`out_frac`) — the align-shift metadata the fused Fig. 8 epilogue
+ * consumes.
  *
- * conv_rows() computes a row band of one output channel as int32
- * accumulations through the simd::axpy_i32 row kernel, one pass per
- * live tap of the channel's compiled nonzero-tap list. Integer
- * addition is exact and order-independent, so the result is
+ * Paired-tap schedule. At construction the kernel pairs input channels
+ * with the same output-use signature (the set of output channels with a
+ * nonzero weight on them): a component-wise ring pairs tuple t with
+ * tuple t+1 of the same component, a dense conv pairs neighbours, an
+ * odd channel out pairs with zero, and a channel no output reads is
+ * dropped. Per output channel it packs every (pair, ky, kx) tap with a
+ * nonzero weight as one int16 weight pair; all-zero pairs never enter
+ * the tables.
+ *
+ * A conv task stage()s the input rows its band reads, for the pairs
+ * its output channels use, as zero-haloed int16 pair words; conv_band()
+ * then computes each output row of a channel in one simd::madd_rows_i16
+ * pass (two taps per lane op, no boundary columns). Integer addition
+ * mod 2^32 is exact and order-independent, so the result is
  * bit-identical to the scalar int64 QConvNode oracle whenever the true
  * accumulator fits in int32; int32_safe() proves that bound statically
- * (worst-case |bias| + sum |w| * max|x|, which also bounds every
- * partial sum), and the quantized executor falls back to the scalar
- * walk for any conv whose bound does not fit.
+ * (worst-case |bias| + sum |w| * max|x|, which also bounds every partial
+ * sum), and the quantized executor falls back to the scalar walk for
+ * any conv whose bound does not fit.
  */
 class QuantConvKernel
 {
@@ -298,13 +308,23 @@ class QuantConvKernel
                     const std::vector<int64_t>& bias,
                     std::vector<int> out_frac);
 
-    /** Zero weights excluded from the compiled tap lists (co*ci*k^2
-     *  minus the nonzero count). */
-    int64_t sparse_tap_skip_count() const
+    /** One task's staged input band (reusable scratch: its buffers
+     *  only grow). */
+    struct Band
     {
-        return static_cast<int64_t>(w8_.size()) -
-               static_cast<int64_t>(taps_.size());
-    }
+        int y0 = 0, y1 = 0, w = 0;
+        /** [staged pair][y1-y0 + k-1 rows][w + k-1 cols] pair words,
+         *  two int16 codes each; zero outside the image. */
+        std::vector<int16_t> words;
+        /** Staged index per pair, -1 when the band skipped it. */
+        std::vector<int> local;
+        /** conv_band's per-channel tap offsets (scratch). */
+        std::vector<int64_t> offsets;
+    };
+
+    /** Zero weights excluded from the compiled tap tables (co*ci*k^2
+     *  minus the nonzero count). */
+    int64_t sparse_tap_skip_count() const { return zero_weights_; }
 
     int co() const { return co_; }
     int ci() const { return ci_; }
@@ -315,7 +335,11 @@ class QuantConvKernel
     /** True when every weight fit int8 and every bias fit int32. */
     bool weights_fit() const { return fits_; }
 
-    /** Worst-case |accumulator| for inputs bounded by 2^(in_bits-1). */
+    /** Worst-case |accumulator| of channel oc for inputs bounded by
+     *  2^(in_bits-1): |bias| + sum |w| * 2^(in_bits-1). */
+    double channel_bound(int oc, int in_bits) const;
+
+    /** Worst-case |accumulator| over all output channels. */
     double acc_bound(int in_bits) const;
 
     /** True when int32 accumulation provably equals the int64 oracle
@@ -325,14 +349,24 @@ class QuantConvKernel
         return fits_ && acc_bound(in_bits) <= 2147483647.0;
     }
 
+    /** Input-channel pairs (the staging unit). */
+    int pairs() const { return static_cast<int>(pair_a_.size()); }
+
     /**
-     * Computes output rows [y0, y1) of channel oc into `dst`, a
-     * contiguous [y1-y0][w] row block initialized to bias[oc]:
-     * "same"-padded stride-1 conv over the int32 CHW planes `x`.
-     * Requires int32_safe() for the input's bit width.
+     * Stages rows [y0 - k/2, y1 + k/2) x cols [-k/2, w + k/2) of every
+     * pair that output channels [oc0, oc1) read, from the int16 CHW
+     * planes `x` (h x w), into `band`.
      */
-    void conv_rows(const int32_t* x, int h, int w, int oc, int y0, int y1,
-                   int32_t* dst) const;
+    void stage(const int16_t* x, int h, int w, int oc0, int oc1, int y0,
+               int y1, Band& band) const;
+
+    /**
+     * Computes output rows [band.y0, band.y1) of channel oc — one of
+     * the channels the band was staged for — into `dst`, a contiguous
+     * [y1-y0][w] block: "same"-padded stride-1 conv plus bias. Requires
+     * int32_safe() for the input's bit width.
+     */
+    void conv_band(Band& band, int oc, int32_t* dst) const;
 
   private:
     int co_, ci_, k_;
@@ -341,14 +375,18 @@ class QuantConvKernel
     std::vector<int> out_frac_;   ///< align-shift metadata per band
     std::vector<double> abs_sum_; ///< sum |w| per output channel
     bool fits_ = true;
-    /** Compiled nonzero taps per output channel, (ic, ky, kx) order;
-     *  tap_off_[oc] .. tap_off_[oc+1] index taps_. */
-    struct QTap
+    int64_t zero_weights_ = 0;
+    /** Input channels of each pair; pair_b_[p] == -1 pairs with zero. */
+    std::vector<int> pair_a_, pair_b_;
+    /** Packed nonzero pair taps per output channel, (pair, ky, kx)
+     *  order: tap_off_[oc] .. tap_off_[oc+1] index taps_ and the weight
+     *  pairs tap_w_[2t], tap_w_[2t+1]. */
+    struct PairTap
     {
-        int ic, ky, kx;
-        int32_t w;
+        int pair, ky, kx;
     };
-    std::vector<QTap> taps_;
+    std::vector<PairTap> taps_;
+    std::vector<int16_t> tap_w_;
     std::vector<int64_t> tap_off_;
 };
 

@@ -1,5 +1,8 @@
 #include "core/simd.h"
 
+#include <algorithm>
+#include <cstring>
+
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define RINGCNN_X86_DISPATCH 1
 #include <immintrin.h>
@@ -7,18 +10,215 @@
 
 namespace ringcnn::simd {
 
+// ---- integer kernels: generic builds ---------------------------------------
+//
+// Every integer lane op below wraps mod 2^32 exactly like its AVX2
+// counterpart: additions, subtractions and left shifts go through
+// uint32, right shifts are arithmetic, and clamps happen before the
+// narrowing to int16 (so AVX2's saturating pack never saturates).
+
+namespace {
+
+/** shift_round_saturate's shift on one int32 lane, split into the
+ *  branch-free form both builds share: ((v + add) >> right) << left. */
+struct LaneShift
+{
+    int32_t add = 0;
+    int right = 0, left = 0;
+};
+
+LaneShift
+lane_shift(int shift)
+{
+    LaneShift s;
+    if (shift > 0) {
+        s.add = static_cast<int32_t>(UINT32_C(1) << (shift - 1));
+        s.right = shift;
+    } else {
+        s.left = -shift;
+    }
+    return s;
+}
+
+inline int32_t
+wrap_add(int32_t a, int32_t b)
+{
+    return static_cast<int32_t>(static_cast<uint32_t>(a) +
+                                static_cast<uint32_t>(b));
+}
+
+inline int32_t
+wrap_sub(int32_t a, int32_t b)
+{
+    return static_cast<int32_t>(static_cast<uint32_t>(a) -
+                                static_cast<uint32_t>(b));
+}
+
+inline int32_t
+wrap_shl(int32_t v, int s)
+{
+    return static_cast<int32_t>(static_cast<uint32_t>(v) << s);
+}
+
+inline int32_t
+apply_shift(int32_t v, const LaneShift& s)
+{
+    return wrap_shl(wrap_add(v, s.add) >> s.right, s.left);
+}
+
+inline int16_t
+saturate(int32_t v, int32_t lo, int32_t hi)
+{
+    return static_cast<int16_t>(std::clamp(v, lo, hi));
+}
+
+int32_t
+code_max(int bits)
+{
+    return (INT32_C(1) << (bits - 1)) - 1;
+}
+
+/** quant::wht_inplace's traversal on wrapping int32 lanes. */
+void
+wht_i32(int32_t* x, int n)
+{
+    for (int len = 1; len < n; len <<= 1) {
+        for (int i = 0; i < n; i += len << 1) {
+            for (int j = i; j < i + len; ++j) {
+                const int32_t a = x[j];
+                const int32_t b = x[j + len];
+                x[j] = wrap_add(a, b);
+                x[j + len] = wrap_sub(a, b);
+            }
+        }
+    }
+}
+
+/** Widest tuple the directional kernels take. */
+constexpr int kMaxTuple = 16;
+
+}  // namespace
+
+namespace detail {
+
+void
+madd_rows_i16_generic(int32_t* dst, const int16_t* src,
+                      const int64_t* offsets, const int16_t* coeffs,
+                      int ntaps, int64_t len)
+{
+    for (int64_t i = 0; i < len; ++i) {
+        uint32_t acc = static_cast<uint32_t>(dst[i]);
+        for (int t = 0; t < ntaps; ++t) {
+            const int16_t* p = src + 2 * (offsets[t] + i);
+            // One vpmaddwd lane: each 16x16 product is exact in int32.
+            acc += static_cast<uint32_t>(static_cast<int32_t>(p[0]) *
+                                         coeffs[2 * t]) +
+                   static_cast<uint32_t>(static_cast<int32_t>(p[1]) *
+                                         coeffs[2 * t + 1]);
+        }
+        dst[i] = static_cast<int32_t>(acc);
+    }
+}
+
+void
+requant_i32_i16_generic(int16_t* dst, const int32_t* src, int64_t len,
+                        int shift, int bits, bool relu_first)
+{
+    const LaneShift s = lane_shift(shift);
+    const int32_t hi = code_max(bits), lo = -hi - 1;
+    for (int64_t i = 0; i < len; ++i) {
+        int32_t v = src[i];
+        if (relu_first && v < 0) v = 0;
+        dst[i] = saturate(apply_shift(v, s), lo, hi);
+    }
+}
+
+void
+dir_relu_otf_i32_i16_generic(int16_t* const* dst, const int32_t* const* src,
+                             int n, const int* align, const int* shift,
+                             int bits, int64_t len)
+{
+    LaneShift s[kMaxTuple];
+    for (int j = 0; j < n; ++j) s[j] = lane_shift(shift[j]);
+    const int32_t hi = code_max(bits), lo = -hi - 1;
+    for (int64_t i = 0; i < len; ++i) {
+        int32_t t[kMaxTuple];
+        for (int j = 0; j < n; ++j) t[j] = wrap_shl(src[j][i], align[j]);
+        wht_i32(t, n);
+        for (int j = 0; j < n; ++j) t[j] = std::max(t[j], 0);
+        wht_i32(t, n);
+        for (int j = 0; j < n; ++j) {
+            dst[j][i] = saturate(apply_shift(t[j], s[j]), lo, hi);
+        }
+    }
+}
+
+void
+dir_relu_qfirst_i32_i16_generic(int16_t* const* dst,
+                                const int32_t* const* src, int n,
+                                const int* pre, const int* mid,
+                                const int* out, int bits, int64_t len)
+{
+    LaneShift sp[kMaxTuple], sm[kMaxTuple], so[kMaxTuple];
+    for (int j = 0; j < n; ++j) {
+        sp[j] = lane_shift(pre[j]);
+        sm[j] = lane_shift(mid[j]);
+        so[j] = lane_shift(out[j]);
+    }
+    const int32_t hi = code_max(bits), lo = -hi - 1;
+    for (int64_t i = 0; i < len; ++i) {
+        int32_t y[kMaxTuple];
+        for (int j = 0; j < n; ++j) {
+            y[j] = std::clamp(apply_shift(src[j][i], sp[j]), lo, hi);
+        }
+        wht_i32(y, n);
+        for (int j = 0; j < n; ++j) {
+            y[j] = std::max(std::clamp(apply_shift(y[j], sm[j]), lo, hi), 0);
+        }
+        wht_i32(y, n);
+        for (int j = 0; j < n; ++j) {
+            dst[j][i] = saturate(apply_shift(y[j], so[j]), lo, hi);
+        }
+    }
+}
+
+// The scalar quantizer computes llround(ldexp(x, frac)) after a
+// saturating compare. Here the scaling is one multiply by 2^frac in
+// double, exact for every product that is a normal double (a float
+// input has at most 24 significant bits); frac is clamped to the normal
+// exponent range first, which changes no result (with |x| < 2^128 any
+// frac <= -1022 rounds every input to 0, and with |x| >= 2^-149 any
+// frac >= 1023 saturates every nonzero input). Clamping to the code
+// range before rounding matches the compare-then-llround order, and
+// trunc(v + copysign(0.5, v)) is llround's half-away-from-zero rounding
+// — the addition is exact for every v that can round to a nonzero
+// code, since v has at most 24 significant bits and |v| <= 2^15.
+void
+quantize_f32_i16_generic(int16_t* dst, const float* src, int64_t len,
+                         int frac, int bits)
+{
+    const double scale = std::ldexp(1.0, std::clamp(frac, -1022, 1023));
+    const double hi = static_cast<double>(code_max(bits));
+    const double lo = -hi - 1.0;
+    for (int64_t i = 0; i < len; ++i) {
+        const double v = static_cast<double>(src[i]) * scale;
+        if (std::isnan(v)) {
+            dst[i] = 0;
+            continue;
+        }
+        const double c = std::min(std::max(v, lo), hi);
+        dst[i] = static_cast<int16_t>(std::trunc(c + std::copysign(0.5, c)));
+    }
+}
+
+}  // namespace detail
+
 namespace {
 
 void
 axpy_generic(float* dst, const float* src, float a, int64_t len)
 {
     for (int64_t i = 0; i < len; ++i) dst[i] += a * src[i];
-}
-
-void
-scale_generic(float* dst, const float* src, float a, int64_t len)
-{
-    for (int64_t i = 0; i < len; ++i) dst[i] = a * src[i];
 }
 
 // The reductions keep 8 independent lane accumulators and combine them
@@ -109,7 +309,7 @@ asum_generic(const float* src, int64_t len)
 }
 
 // The fused multi-source kernels perform, per element, exactly the
-// operation sequence of the equivalent axpy/scale call chain (ascending
+// operation sequence of the equivalent multiply/axpy call chain (ascending
 // term order, mul then add, no FMA), so every build and dispatch target
 // produces identical bits — and identical bits to the unfused chain.
 void
@@ -131,28 +331,6 @@ matvec_rows_generic(float* dst, const float* const* srcs,
         float acc = coeffs[0] * srcs[0][i];
         for (int t = 1; t < ntaps; ++t) acc += coeffs[t] * srcs[t][i];
         dst[i] = acc;
-    }
-}
-
-// Integer rows compute through uint32 so overflow wraps mod 2^32 in
-// every build (signed overflow is UB), matching the AVX2 mullo/add
-// lanes bit for bit.
-void
-axpy_i32_generic(int32_t* dst, const int32_t* src, int32_t a, int64_t len)
-{
-    const uint32_t ua = static_cast<uint32_t>(a);
-    for (int64_t i = 0; i < len; ++i) {
-        dst[i] = static_cast<int32_t>(static_cast<uint32_t>(dst[i]) +
-                                      ua * static_cast<uint32_t>(src[i]));
-    }
-}
-
-void
-scale_i32_generic(int32_t* dst, const int32_t* src, int32_t a, int64_t len)
-{
-    const uint32_t ua = static_cast<uint32_t>(a);
-    for (int64_t i = 0; i < len; ++i) {
-        dst[i] = static_cast<int32_t>(ua * static_cast<uint32_t>(src[i]));
     }
 }
 
@@ -199,18 +377,6 @@ axpy_avx2(float* dst, const float* src, float a, int64_t len)
         _mm256_storeu_ps(dst + i, _mm256_add_ps(d, _mm256_mul_ps(va, s)));
     }
     for (; i < len; ++i) dst[i] += a * src[i];
-}
-
-__attribute__((target("avx2"))) void
-scale_avx2(float* dst, const float* src, float a, int64_t len)
-{
-    const __m256 va = _mm256_set1_ps(a);
-    int64_t i = 0;
-    for (; i + 8 <= len; i += 8) {
-        _mm256_storeu_ps(dst + i,
-                         _mm256_mul_ps(va, _mm256_loadu_ps(src + i)));
-    }
-    for (; i < len; ++i) dst[i] = a * src[i];
 }
 
 // The vector accumulator's 8 lanes are exactly the 8 generic lanes
@@ -433,37 +599,6 @@ matvec_rows_avx2(float* dst, const float* const* srcs, const float* coeffs,
     }
 }
 
-__attribute__((target("avx2"))) void
-axpy_i32_avx2(int32_t* dst, const int32_t* src, int32_t a, int64_t len)
-{
-    const __m256i va = _mm256_set1_epi32(a);
-    int64_t i = 0;
-    for (; i + 8 <= len; i += 8) {
-        const __m256i s = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(src + i));
-        const __m256i d = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(dst + i));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(dst + i),
-            _mm256_add_epi32(d, _mm256_mullo_epi32(va, s)));
-    }
-    axpy_i32_generic(dst + i, src + i, a, len - i);
-}
-
-__attribute__((target("avx2"))) void
-scale_i32_avx2(int32_t* dst, const int32_t* src, int32_t a, int64_t len)
-{
-    const __m256i va = _mm256_set1_epi32(a);
-    int64_t i = 0;
-    for (; i + 8 <= len; i += 8) {
-        const __m256i s = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(src + i));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                            _mm256_mullo_epi32(va, s));
-    }
-    scale_i32_generic(dst + i, src + i, a, len - i);
-}
-
 __attribute__((target("avx2"))) float
 max_abs_diff_f32_avx2(const float* a, const float* b, int64_t len)
 {
@@ -523,6 +658,313 @@ max_abs_diff_i8_avx2(const int8_t* a, const int8_t* b, int64_t len)
     return m;
 }
 
+// ---- integer kernels: AVX2 builds -----------------------------------------
+
+/** Stores 8 int32 lanes already clamped to int16 as 8 int16 codes. */
+__attribute__((target("avx2"))) inline void
+store_i16x8(int16_t* dst, __m256i v)
+{
+    const __m256i p = _mm256_permute4x64_epi64(_mm256_packs_epi32(v, v), 0x08);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst),
+                     _mm256_castsi256_si128(p));
+}
+
+__attribute__((target("avx2"))) inline __m256i
+load_i32x8(const int32_t* p)
+{
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+
+/** Broadcast of one (int16, int16) weight pair as a 32-bit word. */
+__attribute__((target("avx2"))) inline __m256i
+pair_word(const int16_t* c)
+{
+    int32_t w;
+    std::memcpy(&w, c, sizeof w);
+    return _mm256_set1_epi32(w);
+}
+
+/** LaneShift on 8 lanes: ((v + add) >> right) << left. */
+struct LaneShiftX8
+{
+    __m256i add;
+    __m128i right, left;
+};
+
+__attribute__((target("avx2"))) inline LaneShiftX8
+lane_shift_x8(int shift)
+{
+    const LaneShift s = lane_shift(shift);
+    return {_mm256_set1_epi32(s.add), _mm_cvtsi32_si128(s.right),
+            _mm_cvtsi32_si128(s.left)};
+}
+
+__attribute__((target("avx2"))) inline __m256i
+apply_shift_x8(__m256i v, const LaneShiftX8& s)
+{
+    return _mm256_sll_epi32(
+        _mm256_sra_epi32(_mm256_add_epi32(v, s.add), s.right), s.left);
+}
+
+__attribute__((target("avx2"))) inline __m256i
+clamp_x8(__m256i v, __m256i lo, __m256i hi)
+{
+    return _mm256_min_epi32(_mm256_max_epi32(v, lo), hi);
+}
+
+// 32 outputs per block: four independent accumulators, one broadcast
+// per weight pair, four loads + vpmaddwd + add per tap. The < 8 tail
+// runs masked (maskload never touches the lanes it leaves out), so no
+// lane past len is read or written.
+__attribute__((target("avx2"))) void
+madd_rows_i16_avx2(int32_t* dst, const int16_t* src, const int64_t* offsets,
+                   const int16_t* coeffs, int ntaps, int64_t len)
+{
+    int64_t i = 0;
+    for (; i + 32 <= len; i += 32) {
+        __m256i a0 = load_i32x8(dst + i);
+        __m256i a1 = load_i32x8(dst + i + 8);
+        __m256i a2 = load_i32x8(dst + i + 16);
+        __m256i a3 = load_i32x8(dst + i + 24);
+        for (int t = 0; t < ntaps; ++t) {
+            const __m256i c = pair_word(coeffs + 2 * t);
+            const int32_t* p = reinterpret_cast<const int32_t*>(
+                src + 2 * (offsets[t] + i));
+            a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(load_i32x8(p), c));
+            a1 = _mm256_add_epi32(a1,
+                                  _mm256_madd_epi16(load_i32x8(p + 8), c));
+            a2 = _mm256_add_epi32(a2,
+                                  _mm256_madd_epi16(load_i32x8(p + 16), c));
+            a3 = _mm256_add_epi32(a3,
+                                  _mm256_madd_epi16(load_i32x8(p + 24), c));
+        }
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), a0);
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i + 8), a1);
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i + 16), a2);
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i + 24), a3);
+    }
+    for (; i + 8 <= len; i += 8) {
+        __m256i a = load_i32x8(dst + i);
+        for (int t = 0; t < ntaps; ++t) {
+            const int32_t* p = reinterpret_cast<const int32_t*>(
+                src + 2 * (offsets[t] + i));
+            a = _mm256_add_epi32(
+                a, _mm256_madd_epi16(load_i32x8(p), pair_word(coeffs + 2 * t)));
+        }
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), a);
+    }
+    if (i < len) {
+        const __m256i mask = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(static_cast<int32_t>(len - i)),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+        __m256i a = _mm256_maskload_epi32(dst + i, mask);
+        for (int t = 0; t < ntaps; ++t) {
+            const int* p = reinterpret_cast<const int*>(
+                src + 2 * (offsets[t] + i));
+            a = _mm256_add_epi32(
+                a, _mm256_madd_epi16(_mm256_maskload_epi32(p, mask),
+                                     pair_word(coeffs + 2 * t)));
+        }
+        _mm256_maskstore_epi32(dst + i, mask, a);
+    }
+}
+
+__attribute__((target("avx2"))) void
+requant_i32_i16_avx2(int16_t* dst, const int32_t* src, int64_t len,
+                     int shift, int bits, bool relu_first)
+{
+    const LaneShiftX8 s = lane_shift_x8(shift);
+    const __m256i hi = _mm256_set1_epi32(code_max(bits));
+    const __m256i lo = _mm256_set1_epi32(-code_max(bits) - 1);
+    // max(v, 0) is the ReLU; max(v, INT32_MIN) the identity.
+    const __m256i floor = _mm256_set1_epi32(relu_first ? 0 : INT32_MIN);
+    int64_t i = 0;
+    for (; i + 8 <= len; i += 8) {
+        const __m256i v = _mm256_max_epi32(load_i32x8(src + i), floor);
+        store_i16x8(dst + i, clamp_x8(apply_shift_x8(v, s), lo, hi));
+    }
+    detail::requant_i32_i16_generic(dst + i, src + i, len - i, shift, bits,
+                                    relu_first);
+}
+
+/** quant::wht_inplace's traversal on N vectors of 8 lanes. */
+template <int N>
+__attribute__((target("avx2"))) inline void
+wht_x8(__m256i* x)
+{
+    for (int len = 1; len < N; len <<= 1) {
+        for (int i = 0; i < N; i += len << 1) {
+            for (int j = i; j < i + len; ++j) {
+                const __m256i a = x[j];
+                const __m256i b = x[j + len];
+                x[j] = _mm256_add_epi32(a, b);
+                x[j + len] = _mm256_sub_epi32(a, b);
+            }
+        }
+    }
+}
+
+template <int N>
+__attribute__((target("avx2"))) void
+dir_relu_otf_avx2_n(int16_t* const* dst, const int32_t* const* src,
+                    const int* align, const int* shift, int bits,
+                    int64_t len)
+{
+    __m128i al[N];
+    LaneShiftX8 s[N];
+    for (int j = 0; j < N; ++j) {
+        al[j] = _mm_cvtsi32_si128(align[j]);
+        s[j] = lane_shift_x8(shift[j]);
+    }
+    const __m256i hi = _mm256_set1_epi32(code_max(bits));
+    const __m256i lo = _mm256_set1_epi32(-code_max(bits) - 1);
+    const __m256i zero = _mm256_setzero_si256();
+    int64_t i = 0;
+    for (; i + 8 <= len; i += 8) {
+        __m256i t[N];
+        for (int j = 0; j < N; ++j) {
+            t[j] = _mm256_sll_epi32(load_i32x8(src[j] + i), al[j]);
+        }
+        wht_x8<N>(t);
+        for (int j = 0; j < N; ++j) t[j] = _mm256_max_epi32(t[j], zero);
+        wht_x8<N>(t);
+        for (int j = 0; j < N; ++j) {
+            store_i16x8(dst[j] + i, clamp_x8(apply_shift_x8(t[j], s[j]), lo, hi));
+        }
+    }
+    if (i < len) {
+        const int32_t* st[N];
+        int16_t* dt[N];
+        for (int j = 0; j < N; ++j) {
+            st[j] = src[j] + i;
+            dt[j] = dst[j] + i;
+        }
+        detail::dir_relu_otf_i32_i16_generic(dt, st, N, align, shift, bits,
+                                             len - i);
+    }
+}
+
+template <int N>
+__attribute__((target("avx2"))) void
+dir_relu_qfirst_avx2_n(int16_t* const* dst, const int32_t* const* src,
+                       const int* pre, const int* mid, const int* out,
+                       int bits, int64_t len)
+{
+    LaneShiftX8 sp[N], sm[N], so[N];
+    for (int j = 0; j < N; ++j) {
+        sp[j] = lane_shift_x8(pre[j]);
+        sm[j] = lane_shift_x8(mid[j]);
+        so[j] = lane_shift_x8(out[j]);
+    }
+    const __m256i hi = _mm256_set1_epi32(code_max(bits));
+    const __m256i lo = _mm256_set1_epi32(-code_max(bits) - 1);
+    const __m256i zero = _mm256_setzero_si256();
+    int64_t i = 0;
+    for (; i + 8 <= len; i += 8) {
+        __m256i y[N];
+        for (int j = 0; j < N; ++j) {
+            y[j] = clamp_x8(apply_shift_x8(load_i32x8(src[j] + i), sp[j]), lo,
+                            hi);
+        }
+        wht_x8<N>(y);
+        for (int j = 0; j < N; ++j) {
+            y[j] = _mm256_max_epi32(
+                clamp_x8(apply_shift_x8(y[j], sm[j]), lo, hi), zero);
+        }
+        wht_x8<N>(y);
+        for (int j = 0; j < N; ++j) {
+            store_i16x8(dst[j] + i, clamp_x8(apply_shift_x8(y[j], so[j]), lo, hi));
+        }
+    }
+    if (i < len) {
+        const int32_t* st[N];
+        int16_t* dt[N];
+        for (int j = 0; j < N; ++j) {
+            st[j] = src[j] + i;
+            dt[j] = dst[j] + i;
+        }
+        detail::dir_relu_qfirst_i32_i16_generic(dt, st, N, pre, mid, out,
+                                                bits, len - i);
+    }
+}
+
+__attribute__((target("avx2"))) void
+dir_relu_otf_avx2(int16_t* const* dst, const int32_t* const* src, int n,
+                  const int* align, const int* shift, int bits, int64_t len)
+{
+    switch (n) {
+    case 1: return dir_relu_otf_avx2_n<1>(dst, src, align, shift, bits, len);
+    case 2: return dir_relu_otf_avx2_n<2>(dst, src, align, shift, bits, len);
+    case 4: return dir_relu_otf_avx2_n<4>(dst, src, align, shift, bits, len);
+    case 8: return dir_relu_otf_avx2_n<8>(dst, src, align, shift, bits, len);
+    case 16:
+        return dir_relu_otf_avx2_n<16>(dst, src, align, shift, bits, len);
+    default:
+        detail::dir_relu_otf_i32_i16_generic(dst, src, n, align, shift, bits,
+                                             len);
+    }
+}
+
+__attribute__((target("avx2"))) void
+dir_relu_qfirst_avx2(int16_t* const* dst, const int32_t* const* src, int n,
+                     const int* pre, const int* mid, const int* out, int bits,
+                     int64_t len)
+{
+    switch (n) {
+    case 1:
+        return dir_relu_qfirst_avx2_n<1>(dst, src, pre, mid, out, bits, len);
+    case 2:
+        return dir_relu_qfirst_avx2_n<2>(dst, src, pre, mid, out, bits, len);
+    case 4:
+        return dir_relu_qfirst_avx2_n<4>(dst, src, pre, mid, out, bits, len);
+    case 8:
+        return dir_relu_qfirst_avx2_n<8>(dst, src, pre, mid, out, bits, len);
+    case 16:
+        return dir_relu_qfirst_avx2_n<16>(dst, src, pre, mid, out, bits, len);
+    default:
+        detail::dir_relu_qfirst_i32_i16_generic(dst, src, n, pre, mid, out,
+                                                bits, len);
+    }
+}
+
+/** Four doubles through the generic quantizer's steps; returns the
+ *  int32 codes (NaN lanes 0). */
+__attribute__((target("avx2"))) inline __m128i
+quantize_pd(__m256d v, __m256d lo, __m256d hi)
+{
+    const __m256d sign = _mm256_set1_pd(-0.0);
+    const __m256d ordered = _mm256_cmp_pd(v, v, _CMP_ORD_Q);
+    const __m256d c = _mm256_min_pd(_mm256_max_pd(v, lo), hi);
+    const __m256d half =
+        _mm256_or_pd(_mm256_set1_pd(0.5), _mm256_and_pd(c, sign));
+    const __m256d r = _mm256_round_pd(_mm256_add_pd(c, half),
+                                      _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+    return _mm256_cvttpd_epi32(_mm256_and_pd(r, ordered));
+}
+
+__attribute__((target("avx2"))) void
+quantize_f32_i16_avx2(int16_t* dst, const float* src, int64_t len, int frac,
+                      int bits)
+{
+    const __m256d scale =
+        _mm256_set1_pd(std::ldexp(1.0, std::clamp(frac, -1022, 1023)));
+    const __m256d hi = _mm256_set1_pd(static_cast<double>(code_max(bits)));
+    const __m256d lo =
+        _mm256_set1_pd(-static_cast<double>(code_max(bits)) - 1.0);
+    int64_t i = 0;
+    for (; i + 8 <= len; i += 8) {
+        const __m256 f = _mm256_loadu_ps(src + i);
+        const __m256d d0 =
+            _mm256_mul_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(f)), scale);
+        const __m256d d1 =
+            _mm256_mul_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(f, 1)), scale);
+        const __m256i q = _mm256_setr_m128i(quantize_pd(d0, lo, hi),
+                                            quantize_pd(d1, lo, hi));
+        store_i16x8(dst + i, q);
+    }
+    detail::quantize_f32_i16_generic(dst + i, src + i, len - i, frac, bits);
+}
+
 bool
 have_avx2()
 {
@@ -532,31 +974,39 @@ have_avx2()
 #endif  // RINGCNN_X86_DISPATCH
 
 using AxpyFn = void (*)(float*, const float*, float, int64_t);
-using ScaleFn = void (*)(float*, const float*, float, int64_t);
 using DotFn = float (*)(const float*, const float*, int64_t);
 using SumFn = float (*)(const float*, int64_t);
-using AxpyI32Fn = void (*)(int32_t*, const int32_t*, int32_t, int64_t);
-using ScaleI32Fn = void (*)(int32_t*, const int32_t*, int32_t, int64_t);
 using RowsFn = void (*)(float*, const float* const*, const float*, int,
                         int64_t);
 using PlaneSumsFn = void (*)(const float*, int64_t, double*, double*);
 using MaxAbsDiffFn = float (*)(const float*, const float*, int64_t);
 using MaxAbsDiffI8Fn = int (*)(const int8_t*, const int8_t*, int64_t);
+using MaddRowsFn = void (*)(int32_t*, const int16_t*, const int64_t*,
+                            const int16_t*, int, int64_t);
+using RequantFn = void (*)(int16_t*, const int32_t*, int64_t, int, int, bool);
+using DirOtfFn = void (*)(int16_t* const*, const int32_t* const*, int,
+                          const int*, const int*, int, int64_t);
+using DirQfirstFn = void (*)(int16_t* const*, const int32_t* const*, int,
+                             const int*, const int*, const int*, int,
+                             int64_t);
+using QuantizeFn = void (*)(int16_t*, const float*, int64_t, int, int);
 
 struct Dispatch
 {
     AxpyFn axpy = axpy_generic;
-    ScaleFn scale = scale_generic;
     DotFn dot = dot_generic;
     SumFn sum = sum_generic;
     SumFn asum = asum_generic;
     PlaneSumsFn plane_sums = plane_sums_generic;
-    AxpyI32Fn axpy_i = axpy_i32_generic;
-    ScaleI32Fn scale_i = scale_i32_generic;
     RowsFn axpy_rows = axpy_rows_generic;
     RowsFn matvec_rows = matvec_rows_generic;
     MaxAbsDiffFn max_abs_diff = max_abs_diff_f32_generic;
     MaxAbsDiffI8Fn max_abs_diff_i8 = max_abs_diff_i8_generic;
+    MaddRowsFn madd_rows = detail::madd_rows_i16_generic;
+    RequantFn requant = detail::requant_i32_i16_generic;
+    DirOtfFn dir_otf = detail::dir_relu_otf_i32_i16_generic;
+    DirQfirstFn dir_qfirst = detail::dir_relu_qfirst_i32_i16_generic;
+    QuantizeFn quantize = detail::quantize_f32_i16_generic;
     const char* isa = "generic";
 
     Dispatch()
@@ -564,17 +1014,19 @@ struct Dispatch
 #ifdef RINGCNN_X86_DISPATCH
         if (have_avx2()) {
             axpy = axpy_avx2;
-            scale = scale_avx2;
             dot = dot_avx2;
             sum = sum_avx2;
             asum = asum_avx2;
             plane_sums = plane_sums_avx2;
-            axpy_i = axpy_i32_avx2;
-            scale_i = scale_i32_avx2;
             axpy_rows = axpy_rows_avx2;
             matvec_rows = matvec_rows_avx2;
             max_abs_diff = max_abs_diff_f32_avx2;
             max_abs_diff_i8 = max_abs_diff_i8_avx2;
+            madd_rows = madd_rows_i16_avx2;
+            requant = requant_i32_i16_avx2;
+            dir_otf = dir_relu_otf_avx2;
+            dir_qfirst = dir_relu_qfirst_avx2;
+            quantize = quantize_f32_i16_avx2;
             isa = "avx2";
         }
 #endif
@@ -606,14 +1058,6 @@ axpy_resolver(float* dst, const float* src, float a, int64_t len)
     f(dst, src, a, len);
 }
 
-void
-scale_resolver(float* dst, const float* src, float a, int64_t len)
-{
-    const ScaleFn f = dispatch().scale;
-    detail::scale_f32_impl.store(f, std::memory_order_relaxed);
-    f(dst, src, a, len);
-}
-
 float
 dot_resolver(const float* a, const float* b, int64_t len)
 {
@@ -642,7 +1086,6 @@ asum_resolver(const float* src, int64_t len)
 
 namespace detail {
 std::atomic<AxpyFn> axpy_f32_impl{axpy_resolver};
-std::atomic<ScaleFn> scale_f32_impl{scale_resolver};
 std::atomic<DotFn> dot_f32_impl{dot_resolver};
 std::atomic<SumFn> sum_f32_impl{sum_resolver};
 std::atomic<SumFn> asum_f32_impl{asum_resolver};
@@ -670,15 +1113,41 @@ matvec_rows_f32(float* dst, const float* const* srcs, const float* coeffs,
 }
 
 void
-axpy_i32(int32_t* dst, const int32_t* src, int32_t a, int64_t len)
+madd_rows_i16(int32_t* dst, const int16_t* src, const int64_t* offsets,
+              const int16_t* coeffs, int ntaps, int64_t len)
 {
-    dispatch().axpy_i(dst, src, a, len);
+    if (ntaps <= 0) return;
+    dispatch().madd_rows(dst, src, offsets, coeffs, ntaps, len);
 }
 
 void
-scale_i32(int32_t* dst, const int32_t* src, int32_t a, int64_t len)
+requant_i32_i16(int16_t* dst, const int32_t* src, int64_t len, int shift,
+                int bits, bool relu_first)
 {
-    dispatch().scale_i(dst, src, a, len);
+    dispatch().requant(dst, src, len, shift, bits, relu_first);
+}
+
+void
+dir_relu_otf_i32_i16(int16_t* const* dst, const int32_t* const* src, int n,
+                     const int* align, const int* shift, int bits,
+                     int64_t len)
+{
+    dispatch().dir_otf(dst, src, n, align, shift, bits, len);
+}
+
+void
+dir_relu_qfirst_i32_i16(int16_t* const* dst, const int32_t* const* src,
+                        int n, const int* pre, const int* mid,
+                        const int* out, int bits, int64_t len)
+{
+    dispatch().dir_qfirst(dst, src, n, pre, mid, out, bits, len);
+}
+
+void
+quantize_f32_i16(int16_t* dst, const float* src, int64_t len, int frac,
+                 int bits)
+{
+    dispatch().quantize(dst, src, len, frac, bits);
 }
 
 float

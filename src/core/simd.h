@@ -1,24 +1,28 @@
 /**
  * @file
- * Vector-friendly float32 and int32 primitives for the conv hot loops.
+ * Vector-friendly float32, int16 and int32 primitives for the conv hot
+ * loops.
  *
- * Every heavy inner loop of the fp32 engine path reduces to one of two
- * stride-1 row kernels:
+ * Every heavy inner loop of the fp32 engine path reduces to the
+ * stride-1 row kernel
  *
  *   axpy_f32:  dst[i] += a * src[i]     (conv taps, reconstruction)
- *   scale_f32: dst[i]  = a * src[i]     (first transform term)
  *
+ * and its fused multi-source forms (axpy_rows_f32, matvec_rows_f32).
  * The training backward passes add two row *reductions* with a fixed
  * 8-lane accumulation contract (see dot_f32 below):
  *
  *   dot_f32:   sum_i a[i] * b[i]        (weight gradients)
  *   sum_f32:   sum_i src[i]             (bias gradients)
  *
- * The quantized (int8 weight / int32 accumulator) path uses the same
- * two row shapes over int32 lanes:
+ * The quantized path keeps activations as int16 codes and accumulates
+ * in int32 lanes:
  *
- *   axpy_i32:  dst[i] += a * src[i]     (integer conv taps)
- *   scale_i32: dst[i]  = a * src[i]     (integer row init)
+ *   madd_rows_i16:   dst[i] += sum_t <src pair, weight pair>  (conv rows,
+ *                    two taps per vpmaddwd lane op)
+ *   requant_i32_i16, dir_relu_*_i32_i16: fused conv epilogues, int32
+ *                    accumulators in, saturated int16 codes out
+ *   quantize_f32_i16: float image -> int16 codes (QFormat::quantize)
  *
  * The generic builds are plain loops the compiler auto-vectorizes at
  * -O2/-O3 (verified by the perf_ringconv fp32 microbenchmarks). On
@@ -34,12 +38,13 @@
  * produces identical bits. The bit-exactness oracle against the seed
  * implementation additionally runs on the strict fp64 engine path.
  *
- * The int32 kernels are exact mod-2^32 arithmetic (the generic build
- * computes through uint32, matching the wrapping semantics of AVX2's
- * mullo/add), so every dispatch target produces identical bits
- * unconditionally, and results equal arbitrary-precision integer
- * arithmetic whenever the true values fit in int32 — the quantized
- * conv planner proves that bound statically before picking this path.
+ * The integer kernels compute in wrapping int32 lanes (the generic
+ * builds go through uint32, matching AVX2's add/sub/shift lanes), so
+ * every dispatch target produces identical bits unconditionally; the
+ * generic builds are exposed in simd::detail so tests can pin that.
+ * They equal the int64 fixed-point oracle whenever the true values fit
+ * int32 — the quantized conv planner proves that bound statically
+ * before picking this path.
  */
 #ifndef RINGCNN_CORE_SIMD_H
 #define RINGCNN_CORE_SIMD_H
@@ -63,11 +68,9 @@ namespace detail {
 //    the dispatched AVX2/generic implementation, after which there is
 //    no static-init guard on the row path.
 using AxpyFn = void (*)(float*, const float*, float, int64_t);
-using ScaleFn = void (*)(float*, const float*, float, int64_t);
 using DotFn = float (*)(const float*, const float*, int64_t);
 using SumFn = float (*)(const float*, int64_t);
 extern std::atomic<AxpyFn> axpy_f32_impl;
-extern std::atomic<ScaleFn> scale_f32_impl;
 extern std::atomic<DotFn> dot_f32_impl;
 extern std::atomic<SumFn> sum_f32_impl;
 extern std::atomic<SumFn> asum_f32_impl;
@@ -85,16 +88,6 @@ inline void axpy_f32(float* dst, const float* src, float a, int64_t len)
         return;
     }
     detail::axpy_f32_impl.load(std::memory_order_relaxed)(dst, src, a, len);
-}
-
-/** dst[i] = a * src[i] for i in [0, len). */
-inline void scale_f32(float* dst, const float* src, float a, int64_t len)
-{
-    if (len < detail::kInlineRow) {
-        for (int64_t i = 0; i < len; ++i) dst[i] = a * src[i];
-        return;
-    }
-    detail::scale_f32_impl.load(std::memory_order_relaxed)(dst, src, a, len);
 }
 
 /**
@@ -181,7 +174,7 @@ void axpy_rows_f32(float* dst, const float* const* srcs,
 
 /**
  * Overwriting variant: dst[i] = c[0]*srcs[0][i] + c[1]*srcs[1][i] + ...
- * in ascending term order — the per-element sequence of one scale_f32
+ * in ascending term order — the per-element sequence of one multiply
  * followed by ntaps-1 axpy_f32 calls, fused into one pass. Requires
  * ntaps >= 1. The engine's input transforms and the n x n directional
  * epilogue matmuls use this shape.
@@ -189,17 +182,87 @@ void axpy_rows_f32(float* dst, const float* const* srcs,
 void matvec_rows_f32(float* dst, const float* const* srcs,
                      const float* coeffs, int ntaps, int64_t len);
 
-/** dst[i] += a * src[i] for i in [0, len), wrapping int32. */
-void axpy_i32(int32_t* dst, const int32_t* src, int32_t a, int64_t len);
+/**
+ * Paired-tap int16 conv row: for each i in [0, len),
+ *
+ *   dst[i] += sum_t ( src[2*(offsets[t]+i)]   * coeffs[2*t]
+ *                   + src[2*(offsets[t]+i)+1] * coeffs[2*t+1] )
+ *
+ * `src` holds int16 codes interleaved in pairs (two input channels per
+ * 32-bit word) and `coeffs` the matching weight pairs, so each term is
+ * one vpmaddwd lane: both 16x16 products are exact in int32 and their
+ * sum, like every accumulation here, wraps mod 2^32. `offsets` are in
+ * pair words. One pass over dst per row, however many taps; ntaps == 0
+ * is a no-op. Identical bits on every dispatch target for all inputs.
+ */
+void madd_rows_i16(int32_t* dst, const int16_t* src, const int64_t* offsets,
+                   const int16_t* coeffs, int ntaps, int64_t len);
 
 /**
- * dst[i] = a * src[i] for i in [0, len), wrapping int32. The conv band
- * kernels currently only need axpy (rows initialize to the bias), but
- * scale completes the row-API contract the fp32 pair established —
- * every backend (AVX2 today, NEON/accelerator per the roadmap)
- * implements both shapes.
+ * Requant epilogue on int32 lanes: dst[i] = shift_round_saturate(
+ * relu_first ? max(src[i], 0) : src[i], shift, bits) as an int16 code,
+ * with the rounding add and a left shift wrapping mod 2^32. Equals the
+ * int64 quant::shift_round_saturate whenever |src| + 2^(shift-1) (or
+ * |src| * 2^-shift) fits int32. Requires -31 <= shift <= 31 and
+ * 1 <= bits <= 16.
  */
-void scale_i32(int32_t* dst, const int32_t* src, int32_t a, int64_t len);
+void requant_i32_i16(int16_t* dst, const int32_t* src, int64_t len,
+                     int shift, int bits, bool relu_first);
+
+/**
+ * Fig. 8 on-the-fly directional ReLU over n int32 accumulator rows
+ * (n a power of two <= 16): per pixel, t_j = src[j][i] << align[j],
+ * Hadamard butterfly, rectify, butterfly, then dst[j][i] =
+ * shift_round_saturate(t_j, shift[j], bits) — the operation sequence of
+ * quant::onthefly_directional_relu on wrapping int32 lanes. Requires
+ * 0 <= align[j] <= 31, |shift[j]| <= 31 and 1 <= bits <= 16.
+ */
+void dir_relu_otf_i32_i16(int16_t* const* dst, const int32_t* const* src,
+                          int n, const int* align, const int* shift,
+                          int bits, int64_t len);
+
+/**
+ * Quantize-first directional ReLU (the paper's ablation) over n int32
+ * accumulator rows: y_j = srs(src[j][i], pre[j]), butterfly, y_j =
+ * max(srs(y_j, mid[j]), 0), butterfly, dst[j][i] = srs(y_j, out[j]),
+ * where srs is shift_round_saturate to `bits` — the QDirReluNode
+ * quantize-first sequence on wrapping int32 lanes. Same requirements
+ * as dir_relu_otf_i32_i16 on n, the shifts and bits.
+ */
+void dir_relu_qfirst_i32_i16(int16_t* const* dst,
+                             const int32_t* const* src, int n,
+                             const int* pre, const int* mid, const int* out,
+                             int bits, int64_t len);
+
+/**
+ * dst[i] = QFormat{bits, frac}.quantize(src[i]) for i in [0, len):
+ * round half away from zero, saturate to `bits` (2..16), NaN -> 0 —
+ * bit-identical to the scalar quantizer for every float input,
+ * including +-Inf, +-0, exact halves and subnormals, and for every
+ * frac.
+ */
+void quantize_f32_i16(int16_t* dst, const float* src, int64_t len, int frac,
+                      int bits);
+
+namespace detail {
+// The portable builds of the integer kernels above (the dispatch
+// fallback), exposed so tests can pin the vector builds against them.
+void madd_rows_i16_generic(int32_t* dst, const int16_t* src,
+                           const int64_t* offsets, const int16_t* coeffs,
+                           int ntaps, int64_t len);
+void requant_i32_i16_generic(int16_t* dst, const int32_t* src, int64_t len,
+                             int shift, int bits, bool relu_first);
+void dir_relu_otf_i32_i16_generic(int16_t* const* dst,
+                                  const int32_t* const* src, int n,
+                                  const int* align, const int* shift,
+                                  int bits, int64_t len);
+void dir_relu_qfirst_i32_i16_generic(int16_t* const* dst,
+                                     const int32_t* const* src, int n,
+                                     const int* pre, const int* mid,
+                                     const int* out, int bits, int64_t len);
+void quantize_f32_i16_generic(int16_t* dst, const float* src, int64_t len,
+                              int frac, int bits);
+}  // namespace detail
 
 /**
  * Returns max_i |a[i] - b[i]| for i in [0, len) (0 when len <= 0) — the

@@ -26,7 +26,7 @@ namespace ringcnn::plan
  *  unconditional — the quantized graph ALWAYS terminates a conv with
  *  its requant/dir node and even the scalar-oracle lowering chains
  *  them in one step (the wide int64 intermediate must never hit the
- *  int32 arena) — and the tuple check is a lowering concern (it picks
+ *  int16 arena) — and the tuple check is a lowering concern (it picks
  *  fast vs scalar kernels, not whether the pair is one step). */
 struct FusionOptions
 {

@@ -322,7 +322,7 @@ abft_input_sums_f32(const ConvChecksum& cs, const float* x, int h, int w,
 }
 
 void
-abft_input_sums_i32(const ConvChecksum& cs, const int32_t* x, int h, int w,
+abft_input_sums_i16(const ConvChecksum& cs, const int16_t* x, int h, int w,
                     int64_t* S)
 {
     const int k = cs.k, r = k / 2;
@@ -335,10 +335,10 @@ abft_input_sums_i32(const ConvChecksum& cs, const int32_t* x, int h, int w,
     // array, one read pass over the image.
     std::vector<int64_t> win(static_cast<size_t>(k));
     for (int c = 0; c < cs.ci; ++c) {
-        const int32_t* plane =
+        const int16_t* plane =
             x + static_cast<size_t>(c) * h * w;
         for (int y = 0; y < h; ++y) {
-            const int32_t* row = plane + static_cast<size_t>(y) * w;
+            const int16_t* row = plane + static_cast<size_t>(y) * w;
             int64_t total = 0;
             for (int i = 0; i < w; ++i) total += row[i];
             for (int kx = 0; kx < k; ++kx) {

@@ -176,7 +176,7 @@ std::shared_ptr<const ConvChecksum> make_qconv_checksum(
  *  a per-row walk. */
 void abft_input_sums_f32(const ConvChecksum& cs, const float* x, int h,
                          int w, double* S, double* A);
-void abft_input_sums_i32(const ConvChecksum& cs, const int32_t* x, int h,
+void abft_input_sums_i16(const ConvChecksum& cs, const int16_t* x, int h,
                          int w, int64_t* S);
 
 /** Verifies one fp32 image: `out_sums[c]` is the engine's reduced

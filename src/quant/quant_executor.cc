@@ -1,9 +1,12 @@
 #include "quant/quant_executor.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
+#include "core/simd.h"
 #include "plan/arena_planner.h"
 #include "plan/fusion_pass.h"
 #include "util/check.h"
@@ -17,11 +20,30 @@ namespace {
 /** Widest tuple the fused directional epilogue handles per pixel. */
 constexpr int kMaxTuple = 16;
 
+/** Staging budget of one conv task: its band's rows for every pair its
+ *  output channels read, sized to stay cache-resident. */
+constexpr int64_t kStageBytes = 256 << 10;
+
 // The integer butterfly (wht_inplace) and ceil_log2 come from
 // quant/qformat.h — one definition shared with the scalar oracle.
 
+/**
+ * True when shift_round_saturate(v, shift, bits) over every |v| <=
+ * bound computes the same on wrapping int32 lanes (the simd epilogue
+ * kernels): the shift count is one the lanes take, and the rounding add
+ * or the left shift stays inside int32.
+ */
+bool
+shift_fits_i32(double bound, int shift)
+{
+    constexpr double kMax = 2147483647.0;
+    if (shift < -31 || shift > 31 || bound > kMax) return false;
+    if (shift > 0) return bound + std::ldexp(1.0, shift - 1) <= kMax;
+    return std::ldexp(bound, -shift) <= kMax;
+}
+
 QAct
-to_qact(const Shape& shape, const std::vector<int32_t>& v,
+to_qact(const Shape& shape, const std::vector<int16_t>& v,
         const std::vector<int>& frac)
 {
     QAct q;
@@ -29,6 +51,21 @@ to_qact(const Shape& shape, const std::vector<int32_t>& v,
     q.frac = frac;
     q.v.assign(v.begin(), v.end());
     return q;
+}
+
+/** Stores an oracle node's output into an arena activation, checking
+ *  that every value is an int16 code. */
+template <class Act>
+void
+store_codes(const QAct& r, Act& o)
+{
+    o.reset(r.shape);
+    o.frac = r.frac;
+    for (size_t j = 0; j < r.v.size(); ++j) {
+        RINGCNN_CHECK(r.v[j] >= INT16_MIN && r.v[j] <= INT16_MAX,
+                      "scalar-path activation exceeds the int16 arena");
+        o.v[j] = static_cast<int16_t>(r.v[j]);
+    }
 }
 
 }  // namespace
@@ -39,14 +76,16 @@ QuantExecutor::QuantExecutor(const QuantizedModel& qm, QuantExecOptions opt)
     : opt_(opt), qopt_(qm.options()), input_fmt_(qm.input_format()),
       root_(qm.root())
 {
-    RINGCNN_CHECK(qopt_.feature_bits >= 2 && qopt_.feature_bits <= 30,
-                  "quantized executor supports feature widths of 2..30 "
-                  "bits, got " + std::to_string(qopt_.feature_bits));
+    if (qopt_.feature_bits < 2 || qopt_.feature_bits > 16) {
+        throw std::invalid_argument(
+            "ringcnn: quantized executor stores int16 activation codes and "
+            "supports feature widths of 2..16 bits, got " +
+            std::to_string(qopt_.feature_bits));
+    }
     // The shared compile pipeline (src/plan) with the int8 policy:
     // requant/directional fusion is unconditional — the quantized graph
-    // always terminates a conv with its requant/dir node and even the
-    // scalar-oracle lowering chains the pair in one step so the wide
-    // int64 intermediate never has to fit the int32 arena.
+    // always terminates a conv with its requant/dir node, so no wide
+    // accumulator ever has to fit the int16 arena.
     plan_ = plan::linearize(*root_, qopt_.feature_bits);
     plan::fuse_epilogues(plan_, plan::FusionOptions{});
     plan::plan_arena(plan_);
@@ -59,15 +98,16 @@ QuantExecutor::QuantExecutor(const QuantizedModel& qm, QuantExecOptions opt)
 QuantExecutor::~QuantExecutor() = default;
 
 int
-QuantExecutor::band_rows(int h, int groups_total) const
+QuantExecutor::band_rows(int h, int w, int pairs, int k) const
 {
     if (opt_.row_band > 0) return std::min(opt_.row_band, h);
-    // A few tasks per worker across the output bands; any banding is
-    // bit-equivalent, this only shapes the parallel grain.
-    const int target_tasks = std::max(threads_ * 4, groups_total);
-    const int bands = std::max(1, target_tasks / std::max(groups_total, 1));
-    const int bh = std::max((h + bands - 1) / bands, std::min(8, h));
-    return std::min(bh, h);
+    // As many rows as the staging budget holds (any banding is
+    // bit-equivalent; this only shapes cache use and parallel grain),
+    // but at least 8 so the k-1 halo rows stay a small overhead.
+    const int64_t row_bytes =
+        static_cast<int64_t>(std::max(pairs, 1)) * (w + k - 1) * 4;
+    const int64_t rows = kStageBytes / row_bytes - (k - 1);
+    return static_cast<int>(std::clamp<int64_t>(rows, std::min(8, h), h));
 }
 
 void
@@ -80,42 +120,97 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
         dir = static_cast<const QDirReluNode*>(op.epilogue_node);
     } else if (op.epilogue == plan::Epilogue::kRequant) {
         req = static_cast<const QRequantNode*>(op.epilogue_node);
+    } else {
+        throw std::logic_error(
+            "ringcnn: quantized conv without a fused requant or "
+            "directional-ReLU epilogue would store raw accumulators in "
+            "the int16 arena");
     }
 
     auto kernel = std::make_unique<QuantConvKernel>(
         conv->co, conv->ci, conv->k, conv->w, conv->bias, conv->out_frac);
-    const bool dir_ok =
-        dir == nullptr ||
-        (dir->n >= 1 && dir->n <= kMaxTuple && conv->co % dir->n == 0);
-    // op.in_bits is the feature width live at the conv input (threaded
-    // through the plan by the linearizer).
-    const bool fast = kernel->int32_safe(op.in_bits) && dir_ok;
+    const QuantConvKernel& K = *kernel;
+    const int co = conv->co;
+    const int gn = dir != nullptr ? dir->n : 1;
+    const int bits = dir != nullptr ? dir->bits : req->bits;
+
+    // Static epilogue shifts per output channel — e1..e3 are the stages'
+    // shifts: requant e1; on-the-fly align e1, output e2; quantize-first
+    // pre e1, mid e2, out e3 — and the proof that the int32 lanes
+    // reproduce the int64 oracle: op.in_bits (the feature width live at
+    // the conv input, threaded through the plan by the linearizer)
+    // bounds every accumulator; each aligned, butterflied and rounded
+    // intermediate is bounded from there.
+    std::vector<int> e1(static_cast<size_t>(co)), e2(e1), e3(e1);
+    bool fast = K.int32_safe(op.in_bits) && bits >= 1 && bits <= 16;
+    auto bound = [&](int oc) { return K.channel_bound(oc, op.in_bits); };
+    const double code_span = std::ldexp(1.0, bits - 1);
+    if (req != nullptr) {
+        for (int oc = 0; oc < co && fast; ++oc) {
+            e1[static_cast<size_t>(oc)] =
+                K.out_frac()[static_cast<size_t>(oc)] -
+                req->target[static_cast<size_t>(oc)];
+            fast = shift_fits_i32(bound(oc), e1[static_cast<size_t>(oc)]);
+        }
+    } else {
+        fast = fast && gn >= 1 && gn <= kMaxTuple && (gn & (gn - 1)) == 0 &&
+               co % gn == 0;
+        const int log2n = ceil_log2(gn);
+        for (int base = 0; base < co && fast; base += gn) {
+            const auto at = [base](const std::vector<int>& v, int i) {
+                return v[static_cast<size_t>(base + i)];
+            };
+            int fmax = at(K.out_frac(), 0);
+            for (int i = 1; i < gn; ++i) {
+                fmax = std::max(fmax, at(K.out_frac(), i));
+            }
+            double sum = 0.0;  // bound on every first-butterfly value
+            for (int i = 0; i < gn && fast; ++i) {
+                const size_t oc = static_cast<size_t>(base + i);
+                const int ny = at(K.out_frac(), i);
+                const int nx = at(dir->out_frac, i);
+                if (dir->onthefly) {
+                    // align << , butterfly, rectify, butterfly, round.
+                    e1[oc] = fmax - ny;
+                    e2[oc] = fmax + log2n - nx;
+                    fast = e1[oc] <= 31;
+                    sum += std::ldexp(bound(base + i), e1[oc]);
+                } else {
+                    // round, butterfly, round + rectify, butterfly, round:
+                    // every rounded value is a code, so both butterflies
+                    // stay within gn * 2^(bits-1).
+                    e1[oc] = ny - at(dir->pre_frac, i);
+                    e2[oc] = dir->pre_frac[static_cast<size_t>(base)] -
+                             at(dir->mid_frac, i);
+                    e3[oc] = dir->mid_frac[static_cast<size_t>(base)] - nx +
+                             log2n;
+                    fast = shift_fits_i32(bound(base + i), e1[oc]) &&
+                           shift_fits_i32(gn * code_span, e2[oc]) &&
+                           shift_fits_i32(gn * code_span, e3[oc]);
+                }
+            }
+            for (int i = 0; i < gn && fast && dir->onthefly; ++i) {
+                fast = shift_fits_i32(gn * sum,
+                                      e2[static_cast<size_t>(base + i)]);
+            }
+        }
+    }
 
     const int in = op.in0_slot;
     const int out = op.out_slot;
     if (!fast) {
         // Scalar oracle walk for this conv AND its epilogue, chained in
-        // one step so the wide int64 intermediate never has to fit the
-        // int32 arena.
+        // one step so the wide int64 intermediate never enters the arena.
         ++scalar_convs_;
         steps_.push_back([this, conv, dir, req, in, out](int batch) {
             auto& ins = slots_[static_cast<size_t>(in)];
             auto& outs = slots_[static_cast<size_t>(out)];
             for (int b = 0; b < batch; ++b) {
-                IAct& x = ins[static_cast<size_t>(b)];
-                QAct q = to_qact(x.shape, x.v, x.frac);
-                QAct r = conv->forward(q);
-                if (dir != nullptr) r = dir->forward(r);
-                if (req != nullptr) r = req->forward(r);
-                IAct& o = outs[static_cast<size_t>(b)];
-                o.reset(r.shape);
-                o.frac = r.frac;
-                for (size_t j = 0; j < r.v.size(); ++j) {
-                    RINGCNN_CHECK(r.v[j] >= INT32_MIN && r.v[j] <= INT32_MAX,
-                                  "scalar-path activation exceeds the "
-                                  "int32 arena");
-                    o.v[j] = static_cast<int32_t>(r.v[j]);
-                }
+                const IAct& x = ins[static_cast<size_t>(b)];
+                const QAct acc = conv->forward(to_qact(x.shape, x.v, x.frac));
+                store_codes(dir != nullptr ? dir->forward(acc)
+                                           : req->forward(acc),
+                            outs[static_cast<size_t>(b)]);
             }
         });
         return;
@@ -124,7 +219,8 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
     ++fast_convs_;
     const size_t kidx = kernels_.size();
     kernels_.push_back(std::move(kernel));
-    const int gn = dir != nullptr ? dir->n : 1;
+    const std::vector<int> out_frac =
+        dir != nullptr ? dir->out_frac : req->target;
 
     // ABFT: the checksum predicts the raw pre-epilogue accumulators'
     // interior sum EXACTLY (integer arithmetic), so the capture below
@@ -134,7 +230,7 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
     struct VerifyBufs
     {
         std::vector<int64_t> in_sums;   ///< [batch][taps]
-        std::vector<int64_t> cells;     ///< [task][gn] partial sums
+        std::vector<int64_t> cells;     ///< per task: [channel] sums
         std::vector<int64_t> out_sums;  ///< [batch][co]
     };
     std::shared_ptr<const plan::ConvChecksum> cs;
@@ -142,30 +238,48 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
     const int opidx = static_cast<int>(&op - plan_.ops.data());
     auto vb = cs != nullptr ? std::make_shared<VerifyBufs>() : nullptr;
 
-    steps_.push_back([this, dir, req, in, out, kidx, gn, cs, opidx,
-                      vb](int batch) {
+    steps_.push_back([this, dir, req, in, out, kidx, gn, bits, e1, e2, e3,
+                      out_frac, cs, opidx, vb](int batch) {
         const QuantConvKernel& K = *kernels_[kidx];
         auto& ins = slots_[static_cast<size_t>(in)];
         auto& outs = slots_[static_cast<size_t>(out)];
         const int co = K.co();
+        const int groups = co / gn;
 
-        tasks_.clear();
-        int groups_total = 0;
-        for (int b = 0; b < batch; ++b) groups_total += co / gn;
+        // Row bands first (staging is shared by every group of a task);
+        // split the output groups into chunks only when the bands alone
+        // leave workers idle.
+        int64_t row_tasks = 0;
         for (int b = 0; b < batch; ++b) {
-            IAct& x = ins[static_cast<size_t>(b)];
+            const IAct& x = ins[static_cast<size_t>(b)];
             RINGCNN_CHECK(x.shape[0] == K.ci(),
                           "quantized conv input channel mismatch");
+            const int h = x.shape[1];
+            const int bh = band_rows(h, x.shape[2], K.pairs(), K.k());
+            row_tasks += (h + bh - 1) / bh;
+        }
+        const int64_t want = static_cast<int64_t>(threads_) * 4;
+        const int chunks =
+            threads_ > 1 && row_tasks > 0 && row_tasks < want
+                ? static_cast<int>(std::min<int64_t>(
+                      groups, (want + row_tasks - 1) / row_tasks))
+                : 1;
+        const int per_chunk = (groups + chunks - 1) / chunks;
+        tasks_.clear();
+        int64_t cells = 0;
+        for (int b = 0; b < batch; ++b) {
+            const IAct& x = ins[static_cast<size_t>(b)];
             const int h = x.shape[1], wd = x.shape[2];
             IAct& o = outs[static_cast<size_t>(b)];
             o.reset({co, h, wd});
-            o.frac = dir != nullptr ? dir->out_frac
-                                    : (req != nullptr ? req->target
-                                                      : K.out_frac());
-            const int bh = band_rows(h, groups_total);
-            for (int g = 0; g < co / gn; ++g) {
-                for (int y0 = 0; y0 < h; y0 += bh) {
-                    tasks_.push_back({b, g, y0, std::min(y0 + bh, h)});
+            o.frac = out_frac;
+            const int bh = band_rows(h, wd, K.pairs(), K.k());
+            for (int y0 = 0; y0 < h; y0 += bh) {
+                for (int g0 = 0; g0 < groups; g0 += per_chunk) {
+                    const int g1 = std::min(g0 + per_chunk, groups);
+                    tasks_.push_back(
+                        {b, g0, g1, y0, std::min(y0 + bh, h), cells});
+                    cells += static_cast<int64_t>(g1 - g0) * gn;
                 }
             }
         }
@@ -176,182 +290,85 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
         if (cs != nullptr) {
             vb->in_sums.assign(static_cast<size_t>(batch) * taps, 0);
             for (int b = 0; b < batch; ++b) {
-                IAct& x = ins[static_cast<size_t>(b)];
-                plan::abft_input_sums_i32(
+                const IAct& x = ins[static_cast<size_t>(b)];
+                plan::abft_input_sums_i16(
                     *cs, x.v.data(), x.shape[1], x.shape[2],
                     vb->in_sums.data() + static_cast<size_t>(b) * taps);
             }
-            vb->cells.assign(tasks_.size() * static_cast<size_t>(gn), 0);
+            vb->cells.assign(static_cast<size_t>(cells), 0);
         }
 
         util::parallel_for_worker(
             static_cast<int64_t>(tasks_.size()),
             [&](int worker, int64_t ti) {
                 const ConvTask& t = tasks_[static_cast<size_t>(ti)];
-                IAct& x = ins[static_cast<size_t>(t.img)];
+                const IAct& x = ins[static_cast<size_t>(t.img)];
                 IAct& o = outs[static_cast<size_t>(t.img)];
                 const int h = x.shape[1], wd = x.shape[2];
-                const int bh = t.y1 - t.y0;
-                const int64_t brow = static_cast<int64_t>(bh) * wd;
+                const int64_t brow = static_cast<int64_t>(t.y1 - t.y0) * wd;
+                const int64_t row0 = static_cast<int64_t>(t.y0) * wd;
 
                 std::vector<int32_t>& buf =
                     wband_[static_cast<size_t>(worker)];
-                if (buf.size() < static_cast<size_t>(gn) * brow) {
-                    buf.resize(static_cast<size_t>(gn) * brow);
+                if (buf.size() < static_cast<size_t>(gn * brow)) {
+                    buf.resize(static_cast<size_t>(gn * brow));
                 }
                 if (util::fault_check("int8.kernel_throw")) {
                     throw std::runtime_error(
                         "ringcnn: injected fault: int8 conv kernel task");
                 }
-                for (int gi = 0; gi < gn; ++gi) {
-                    K.conv_rows(x.v.data(), h, wd, t.group * gn + gi, t.y0,
-                                t.y1, buf.data() + gi * brow);
-                }
+                QuantConvKernel::Band& band =
+                    stage_[static_cast<size_t>(worker)];
+                K.stage(x.v.data(), h, wd, t.g0 * gn, t.g1 * gn, t.y0, t.y1,
+                        band);
 
-                if (cs != nullptr) {
-                    // Interior sum of the raw accumulators, captured
-                    // before any epilogue consumes the band. Each task
-                    // owns its cell slice — no synchronization needed,
-                    // and int64 addition makes the later reduction
-                    // order-independent (bit-exact).
-                    const int pad = cs->k / 2;
-                    const int gy0 = std::max(t.y0, pad);
-                    const int gy1 = std::min(t.y1, h - pad);
-                    int64_t* cell =
-                        vb->cells.data() + static_cast<size_t>(ti) * gn;
-                    for (int gi = 0; gi < gn; ++gi) {
-                        const int32_t* band = buf.data() + gi * brow;
-                        int64_t s = 0;
-                        for (int gy = gy0; gy < gy1; ++gy) {
-                            const int32_t* row =
-                                band +
-                                static_cast<int64_t>(gy - t.y0) * wd;
-                            for (int xx = pad; xx < wd - pad; ++xx) {
-                                s += row[xx];
+                for (int g = t.g0; g < t.g1; ++g) {
+                    const int base = g * gn;
+                    const int32_t* brows[kMaxTuple];
+                    int16_t* orows[kMaxTuple];
+                    for (int i = 0; i < gn; ++i) {
+                        int32_t* acc = buf.data() + i * brow;
+                        K.conv_band(band, base + i, acc);
+                        brows[i] = acc;
+                        orows[i] = o.ch(base + i) + row0;
+                    }
+
+                    if (cs != nullptr) {
+                        // Interior sum of the raw accumulators, captured
+                        // before the epilogue consumes the band. Each
+                        // task owns its cells — no synchronization
+                        // needed, and int64 addition makes the later
+                        // reduction order-independent (bit-exact).
+                        const int pad = cs->k / 2;
+                        const int gy0 = std::max(t.y0, pad);
+                        const int gy1 = std::min(t.y1, h - pad);
+                        int64_t* cell = vb->cells.data() + t.cell +
+                                        static_cast<int64_t>(g - t.g0) * gn;
+                        for (int i = 0; i < gn; ++i) {
+                            int64_t sum = 0;
+                            for (int gy = gy0; gy < gy1; ++gy) {
+                                const int32_t* row =
+                                    brows[i] +
+                                    static_cast<int64_t>(gy - t.y0) * wd;
+                                for (int xx = pad; xx < wd - pad; ++xx) {
+                                    sum += row[xx];
+                                }
                             }
+                            cell[i] = sum;
                         }
-                        cell[gi] = s;
                     }
-                }
 
-                if (dir == nullptr && req == nullptr) {
-                    // Unfused: hand the wide accumulators through.
-                    for (int gi = 0; gi < gn; ++gi) {
-                        std::memcpy(o.ch(t.group * gn + gi) +
-                                        static_cast<int64_t>(t.y0) * wd,
-                                    buf.data() + gi * brow,
-                                    static_cast<size_t>(brow) *
-                                        sizeof(int32_t));
-                    }
-                    return;
-                }
-
-                if (req != nullptr) {
-                    // Fused requant (optionally ReLU-first) epilogue.
-                    const int oc = t.group;  // gn == 1
-                    const int shift =
-                        K.out_frac()[static_cast<size_t>(oc)] -
-                        req->target[static_cast<size_t>(oc)];
-                    int32_t* orow =
-                        o.ch(oc) + static_cast<int64_t>(t.y0) * wd;
-                    for (int64_t p = 0; p < brow; ++p) {
-                        int64_t v = buf[static_cast<size_t>(p)];
-                        if (req->relu_first && v < 0) v = 0;
-                        orow[p] = static_cast<int32_t>(
-                            shift_round_saturate(v, shift, req->bits));
-                    }
-                    return;
-                }
-
-                // Fused directional-ReLU epilogue (Fig. 8 on-the-fly
-                // pipeline, or the quantize-first ablation), per
-                // n-tuple of conv bands. The per-pixel arithmetic below
-                // mirrors onthefly_directional_relu / the QDirReluNode
-                // else-branch operation for operation, on stack tuples
-                // instead of heap vectors — keep them consistent. All
-                // per-task setup (alignment/output shift amounts,
-                // butterfly width, row pointers) and the pipeline
-                // branch are hoisted out of the pixel loop; the int64
-                // tuple math itself stays scalar — AVX2 lacks 64-bit
-                // arithmetic right shifts and saturation, so 4-wide
-                // epi64 lanes measured no faster than this form (see
-                // README "Training performance").
-                const int n = gn;
-                const int base = t.group * n;
-                int ny[kMaxTuple] = {0}, nx[kMaxTuple] = {0};
-                for (int i = 0; i < n; ++i) {
-                    ny[i] = K.out_frac()[static_cast<size_t>(base + i)];
-                    nx[i] = dir->out_frac[static_cast<size_t>(base + i)];
-                }
-                int fmax = ny[0];
-                for (int i = 1; i < n; ++i) fmax = std::max(fmax, ny[i]);
-                const int log2n = ceil_log2(n);
-                const int32_t* brows[kMaxTuple];
-                int32_t* orows[kMaxTuple];
-                for (int i = 0; i < n; ++i) {
-                    brows[i] = buf.data() + static_cast<int64_t>(i) * brow;
-                    orows[i] = o.ch(base + i) +
-                               static_cast<int64_t>(t.y0) * wd;
-                }
-                if (dir->onthefly) {
-                    // Align left-shifts to the widest frac (unsigned
-                    // shift: same bits, no UB on negatives), two
-                    // butterflies around the rectifier, one final
-                    // per-component round/saturate.
-                    int lsh[kMaxTuple], rsh[kMaxTuple];
-                    for (int i = 0; i < n; ++i) {
-                        lsh[i] = fmax - ny[i];
-                        rsh[i] = fmax + log2n - nx[i];
-                    }
-                    for (int64_t p = 0; p < brow; ++p) {
-                        int64_t tv[kMaxTuple];
-                        for (int i = 0; i < n; ++i) {
-                            tv[i] = static_cast<int64_t>(
-                                static_cast<uint64_t>(static_cast<int64_t>(
-                                    brows[i][p]))
-                                << lsh[i]);
-                        }
-                        wht_inplace(tv, n);
-                        for (int i = 0; i < n; ++i) {
-                            if (tv[i] < 0) tv[i] = 0;
-                        }
-                        wht_inplace(tv, n);
-                        for (int i = 0; i < n; ++i) {
-                            orows[i][p] =
-                                static_cast<int32_t>(shift_round_saturate(
-                                    tv[i], rsh[i], dir->bits));
-                        }
-                    }
-                } else {
-                    // Quantize-first ablation, operation for operation
-                    // the QDirReluNode else-branch.
-                    int qsh[kMaxTuple], msh[kMaxTuple], osh[kMaxTuple];
-                    for (int i = 0; i < n; ++i) {
-                        qsh[i] = ny[i] -
-                                 dir->pre_frac[static_cast<size_t>(base + i)];
-                        msh[i] = dir->pre_frac[static_cast<size_t>(base)] -
-                                 dir->mid_frac[static_cast<size_t>(base + i)];
-                        osh[i] = dir->mid_frac[static_cast<size_t>(base)] -
-                                 nx[i] + log2n;
-                    }
-                    for (int64_t p = 0; p < brow; ++p) {
-                        int64_t yv[kMaxTuple];
-                        for (int i = 0; i < n; ++i) {
-                            yv[i] = shift_round_saturate(brows[i][p], qsh[i],
-                                                         dir->bits);
-                        }
-                        wht_inplace(yv, n);
-                        for (int i = 0; i < n; ++i) {
-                            const int64_t v = shift_round_saturate(
-                                yv[i], msh[i], dir->bits);
-                            yv[i] = v > 0 ? v : 0;
-                        }
-                        wht_inplace(yv, n);
-                        for (int i = 0; i < n; ++i) {
-                            orows[i][p] =
-                                static_cast<int32_t>(shift_round_saturate(
-                                    yv[i], osh[i], dir->bits));
-                        }
+                    const size_t e = static_cast<size_t>(base);
+                    if (req != nullptr) {
+                        simd::requant_i32_i16(orows[0], brows[0], brow, e1[e],
+                                              bits, req->relu_first);
+                    } else if (dir->onthefly) {
+                        simd::dir_relu_otf_i32_i16(orows, brows, gn, &e1[e],
+                                                   &e2[e], bits, brow);
+                    } else {
+                        simd::dir_relu_qfirst_i32_i16(orows, brows, gn,
+                                                      &e1[e], &e2[e], &e3[e],
+                                                      bits, brow);
                     }
                 }
             },
@@ -359,17 +376,18 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
 
         if (cs != nullptr) {
             vb->out_sums.assign(static_cast<size_t>(batch) * co, 0);
-            for (size_t ti = 0; ti < tasks_.size(); ++ti) {
-                const ConvTask& t = tasks_[ti];
+            for (const ConvTask& t : tasks_) {
                 int64_t* dst = vb->out_sums.data() +
                                static_cast<size_t>(t.img) * co +
-                               static_cast<size_t>(t.group) * gn;
-                for (int gi = 0; gi < gn; ++gi) {
-                    dst[gi] += vb->cells[ti * static_cast<size_t>(gn) + gi];
+                               static_cast<size_t>(t.g0) * gn;
+                const int64_t* cell = vb->cells.data() + t.cell;
+                for (int64_t i = 0; i < static_cast<int64_t>(t.g1 - t.g0) * gn;
+                     ++i) {
+                    dst[i] += cell[i];
                 }
             }
             for (int b = 0; b < batch; ++b) {
-                IAct& x = ins[static_cast<size_t>(b)];
+                const IAct& x = ins[static_cast<size_t>(b)];
                 plan::abft_check_i64(
                     *cs,
                     vb->in_sums.data() + static_cast<size_t>(b) * taps,
@@ -387,17 +405,9 @@ QuantExecutor::lower_fallback(const QNode* node, int in, int out)
         auto& ins = slots_[static_cast<size_t>(in)];
         auto& outs = slots_[static_cast<size_t>(out)];
         for (int b = 0; b < batch; ++b) {
-            IAct& x = ins[static_cast<size_t>(b)];
-            const QAct r =
-                node->forward(to_qact(x.shape, x.v, x.frac));
-            IAct& o = outs[static_cast<size_t>(b)];
-            o.reset(r.shape);
-            o.frac = r.frac;
-            for (size_t j = 0; j < r.v.size(); ++j) {
-                RINGCNN_CHECK(r.v[j] >= INT32_MIN && r.v[j] <= INT32_MAX,
-                              "fallback activation exceeds the int32 arena");
-                o.v[j] = static_cast<int32_t>(r.v[j]);
-            }
+            const IAct& x = ins[static_cast<size_t>(b)];
+            store_codes(node->forward(to_qact(x.shape, x.v, x.frac)),
+                        outs[static_cast<size_t>(b)]);
         }
     });
 }
@@ -436,12 +446,12 @@ QuantExecutor::lower()
                     o.frac = req->target;
                     for (int ch = 0; ch < c; ++ch) {
                         const int shift = shifts[static_cast<size_t>(ch)];
-                        const int32_t* src = x.ch(ch);
-                        int32_t* dst = o.ch(ch);
+                        const int16_t* src = x.ch(ch);
+                        int16_t* dst = o.ch(ch);
                         for (int64_t p = 0; p < plane; ++p) {
                             int64_t v = src[p];
                             if (req->relu_first && v < 0) v = 0;
-                            dst[p] = static_cast<int32_t>(
+                            dst[p] = static_cast<int16_t>(
                                 shift_round_saturate(v, shift, req->bits));
                         }
                     }
@@ -473,8 +483,8 @@ QuantExecutor::lower()
                         for (int dy = 0; dy < r; ++dy) {
                             for (int dx = 0; dx < r; ++dx) {
                                 const int ic = (oc * r + dy) * r + dx;
-                                const int32_t* src = x.ch(ic);
-                                int32_t* dst = o.ch(oc);
+                                const int16_t* src = x.ch(ic);
+                                int16_t* dst = o.ch(oc);
                                 for (int y = 0; y < h; ++y) {
                                     for (int xx = 0; xx < w; ++xx) {
                                         dst[(static_cast<int64_t>(y) * r +
@@ -510,14 +520,14 @@ QuantExecutor::lower()
                                 const int oc = (ic * r + dy) * r + dx;
                                 o.frac[static_cast<size_t>(oc)] =
                                     x.frac[static_cast<size_t>(ic)];
-                                const int32_t* src = x.ch(ic);
-                                int32_t* dst = o.ch(oc);
+                                const int16_t* src = x.ch(ic);
+                                int16_t* dst = o.ch(oc);
                                 for (int y = 0; y < h; ++y) {
                                     for (int xx = 0; xx < w; ++xx) {
                                         dst[static_cast<int64_t>(y) * w +
                                             xx] =
                                             src[(static_cast<int64_t>(y) * r +
-                                                 dy) * (w * r) + xx * r + dx];
+                                                 dy) * x.shape[2] + xx * r + dx];
                                     }
                                 }
                             }
@@ -545,7 +555,7 @@ QuantExecutor::lower()
                             x.frac[static_cast<size_t>(ch)];
                     }
                     std::memcpy(o.v.data(), x.v.data(),
-                                x.v.size() * sizeof(int32_t));
+                                x.v.size() * sizeof(int16_t));
                     std::fill(o.v.begin() + static_cast<int64_t>(x.v.size()),
                               o.v.end(), 0);
                 }
@@ -563,7 +573,7 @@ QuantExecutor::lower()
                     o.reset({keep, x.shape[1], x.shape[2]});
                     o.frac.assign(x.frac.begin(), x.frac.begin() + keep);
                     std::memcpy(o.v.data(), x.v.data(),
-                                o.v.size() * sizeof(int32_t));
+                                o.v.size() * sizeof(int16_t));
                 }
             });
             break;
@@ -594,16 +604,16 @@ QuantExecutor::lower()
                             A.frac[static_cast<size_t>(ch)] - target;
                         const int sb =
                             B.frac[static_cast<size_t>(ch)] - target;
-                        const int32_t* pa = A.ch(ch);
-                        const int32_t* pb = B.ch(ch);
+                        const int16_t* pa = A.ch(ch);
+                        const int16_t* pb = B.ch(ch);
                         if (ch == 0) O.reset(shape);  // no-op when aliased
-                        int32_t* po = O.ch(ch);
+                        int16_t* po = O.ch(ch);
                         for (int64_t p = 0; p < plane; ++p) {
                             const int64_t va = shift_round_saturate(
                                 pa[p], sa, res->bits + 2);
                             const int64_t vb = shift_round_saturate(
                                 pb[p], sb, res->bits + 2);
-                            po[p] = static_cast<int32_t>(
+                            po[p] = static_cast<int16_t>(
                                 shift_round_saturate(va + vb, 0, res->bits));
                         }
                     }
@@ -635,16 +645,16 @@ QuantExecutor::lower()
                             A.frac[static_cast<size_t>(ch)] - target;
                         const int sb2 =
                             B.frac[static_cast<size_t>(ch)] - target;
-                        const int32_t* pa = A.ch(ch);
-                        const int32_t* pb = B.ch(ch);
+                        const int16_t* pa = A.ch(ch);
+                        const int16_t* pb = B.ch(ch);
                         if (ch == 0) O.reset(shape);
-                        int32_t* po = O.ch(ch);
+                        int16_t* po = O.ch(ch);
                         for (int64_t p = 0; p < plane; ++p) {
                             const int64_t va = shift_round_saturate(
                                 pa[p], sa, two->bits + 2);
                             const int64_t vb = shift_round_saturate(
                                 pb[p], sb2, two->bits + 2);
-                            po[p] = static_cast<int32_t>(
+                            po[p] = static_cast<int16_t>(
                                 shift_round_saturate(va + vb, 0, two->bits));
                         }
                     }
@@ -672,8 +682,8 @@ QuantExecutor::lower()
                         const int shift = x.frac[static_cast<size_t>(ic)] +
                                           wbits -
                                           up->target[static_cast<size_t>(ic)];
-                        const int32_t* src = x.ch(ic);
-                        int32_t* dst = o.ch(ic);
+                        const int16_t* src = x.ch(ic);
+                        int16_t* dst = o.ch(ic);
                         for (int oy = 0; oy < ho; ++oy) {
                             int num_y = 2 * oy + 1 - r;
                             num_y = std::max(0, std::min(num_y,
@@ -703,7 +713,7 @@ QuantExecutor::lower()
                                         src[static_cast<int64_t>(y1) * w +
                                             x1];
                                 dst[static_cast<int64_t>(oy) * wo + ox] =
-                                    static_cast<int32_t>(
+                                    static_cast<int16_t>(
                                         shift_round_saturate(acc, shift,
                                                              up->bits));
                             }
@@ -732,116 +742,132 @@ QuantExecutor::ensure_batch(int count)
 }
 
 void
-QuantExecutor::exec(const QAct* const* ins, int count)
+QuantExecutor::load(int b, const QAct& q)
+{
+    RINGCNN_CHECK(q.shape.size() == 3 &&
+                      q.frac.size() == static_cast<size_t>(q.shape[0]),
+                  "quantized executor input must be CHW with per-channel "
+                  "fracs");
+    IAct& e = slots_[static_cast<size_t>(entry_slot_)][static_cast<size_t>(b)];
+    e.reset(q.shape);
+    e.frac = q.frac;
+    const int64_t lo = -(INT64_C(1) << (qopt_.feature_bits - 1));
+    const int64_t hi = (INT64_C(1) << (qopt_.feature_bits - 1)) - 1;
+    for (size_t j = 0; j < q.v.size(); ++j) {
+        RINGCNN_CHECK(q.v[j] >= lo && q.v[j] <= hi,
+                      "quantized executor input exceeds the feature bit "
+                      "width the plan was proven safe for");
+        e.v[j] = static_cast<int16_t>(q.v[j]);
+    }
+}
+
+void
+QuantExecutor::load(int b, const Tensor& x)
+{
+    RINGCNN_CHECK(x.shape().size() == 3,
+                  "quantized executor input must be CHW");
+    IAct& e = slots_[static_cast<size_t>(entry_slot_)][static_cast<size_t>(b)];
+    e.reset(x.shape());
+    e.frac.assign(static_cast<size_t>(x.dim(0)), input_fmt_.frac);
+    simd::quantize_f32_i16(e.v.data(), x.data(), x.numel(), input_fmt_.frac,
+                           input_fmt_.bits);
+}
+
+void
+QuantExecutor::exec(int count)
+{
+    for (auto& step : steps_) step(count);
+}
+
+QAct
+QuantExecutor::output_qact(int b) const
+{
+    const IAct& o =
+        slots_[static_cast<size_t>(out_slot_)][static_cast<size_t>(b)];
+    return to_qact(o.shape, o.v, o.frac);
+}
+
+void
+QuantExecutor::output_tensor(int b, Tensor& out) const
+{
+    // Same double product as QuantizedModel::dequantize, so the floats
+    // are bit-identical.
+    const IAct& o =
+        slots_[static_cast<size_t>(out_slot_)][static_cast<size_t>(b)];
+    out.reset(o.shape);
+    const int64_t plane = o.plane();
+    for (int c = 0; c < o.shape[0]; ++c) {
+        const double scale =
+            std::ldexp(1.0, -o.frac[static_cast<size_t>(c)]);
+        const int16_t* src = o.ch(c);
+        float* dst = out.data() + c * plane;
+        for (int64_t p = 0; p < plane; ++p) {
+            dst[p] = static_cast<float>(src[p] * scale);
+        }
+    }
+}
+
+void
+QuantExecutor::ensure_workers()
 {
     threads_ = util::resolve_threads(opt_.threads);
     if (static_cast<int>(wband_.size()) < threads_) {
         wband_.resize(static_cast<size_t>(threads_));
+        stage_.resize(static_cast<size_t>(threads_));
     }
-    ensure_batch(count);
-    auto& entry = slots_[static_cast<size_t>(entry_slot_)];
-    for (int b = 0; b < count; ++b) {
-        const QAct& q = *ins[b];
-        RINGCNN_CHECK(q.shape.size() == 3 &&
-                          q.frac.size() == static_cast<size_t>(q.shape[0]),
-                      "quantized executor input must be CHW with "
-                      "per-channel fracs");
-        IAct& e = entry[static_cast<size_t>(b)];
-        e.reset(q.shape);
-        e.frac = q.frac;
-        const int64_t lo = -(INT64_C(1) << (qopt_.feature_bits - 1));
-        const int64_t hi = (INT64_C(1) << (qopt_.feature_bits - 1)) - 1;
-        for (size_t j = 0; j < q.v.size(); ++j) {
-            RINGCNN_CHECK(q.v[j] >= lo && q.v[j] <= hi,
-                          "quantized executor input exceeds the feature "
-                          "bit width the plan was proven safe for");
-            e.v[j] = static_cast<int32_t>(q.v[j]);
-        }
-    }
-    for (auto& step : steps_) step(count);
 }
 
 QAct
 QuantExecutor::run(const QAct& in)
 {
-    const QAct* p = &in;
-    exec(&p, 1);
-    IAct& o = slots_[static_cast<size_t>(out_slot_)][0];
-    return to_qact(o.shape, o.v, o.frac);
+    ensure_workers();
+    ensure_batch(1);
+    load(0, in);
+    exec(1);
+    return output_qact(0);
 }
 
 std::vector<QAct>
 QuantExecutor::run(const std::vector<QAct>& ins)
 {
-    std::vector<const QAct*> ptrs(ins.size());
-    for (size_t i = 0; i < ins.size(); ++i) ptrs[i] = &ins[i];
-    exec(ptrs.data(), static_cast<int>(ins.size()));
+    const int count = static_cast<int>(ins.size());
+    ensure_workers();
+    ensure_batch(count);
+    for (int b = 0; b < count; ++b) load(b, ins[static_cast<size_t>(b)]);
+    exec(count);
     std::vector<QAct> out;
     out.reserve(ins.size());
-    for (size_t i = 0; i < ins.size(); ++i) {
-        IAct& o = slots_[static_cast<size_t>(out_slot_)][i];
-        out.push_back(to_qact(o.shape, o.v, o.frac));
-    }
+    for (int b = 0; b < count; ++b) out.push_back(output_qact(b));
     return out;
 }
 
 Tensor
 QuantExecutor::forward(const Tensor& x)
 {
-    QAct in;
-    in.shape = x.shape();
-    in.v.resize(static_cast<size_t>(x.numel()));
-    in.frac.assign(static_cast<size_t>(x.dim(0)), input_fmt_.frac);
-    for (int64_t i = 0; i < x.numel(); ++i) {
-        in.v[static_cast<size_t>(i)] = input_fmt_.quantize(x[i]);
-    }
-    return QuantizedModel::dequantize(run(in));
+    Tensor out;
+    const Tensor* p = &x;
+    forward_into(&p, &out, 1);
+    return out;
 }
 
 std::vector<Tensor>
 QuantExecutor::forward(const std::vector<Tensor>& xs)
 {
-    std::vector<QAct> ins(xs.size());
-    for (size_t i = 0; i < xs.size(); ++i) {
-        const Tensor& x = xs[i];
-        ins[i].shape = x.shape();
-        ins[i].v.resize(static_cast<size_t>(x.numel()));
-        ins[i].frac.assign(static_cast<size_t>(x.dim(0)), input_fmt_.frac);
-        for (int64_t j = 0; j < x.numel(); ++j) {
-            ins[i].v[static_cast<size_t>(j)] = input_fmt_.quantize(x[j]);
-        }
-    }
-    std::vector<QAct> outs = run(ins);
-    std::vector<Tensor> res;
-    res.reserve(outs.size());
-    for (const QAct& o : outs) {
-        res.push_back(QuantizedModel::dequantize(o));
-    }
-    return res;
+    std::vector<const Tensor*> ptrs(xs.size());
+    for (size_t i = 0; i < xs.size(); ++i) ptrs[i] = &xs[i];
+    std::vector<Tensor> outs(xs.size());
+    forward_into(ptrs.data(), outs.data(), static_cast<int>(xs.size()));
+    return outs;
 }
 
 void
 QuantExecutor::forward_into(const Tensor* const* xs, Tensor* outs, int count)
 {
-    std::vector<QAct> ins(static_cast<size_t>(count));
-    std::vector<const QAct*> ptrs(static_cast<size_t>(count));
-    for (int i = 0; i < count; ++i) {
-        const Tensor& x = *xs[i];
-        QAct& q = ins[static_cast<size_t>(i)];
-        q.shape = x.shape();
-        q.v.resize(static_cast<size_t>(x.numel()));
-        q.frac.assign(static_cast<size_t>(x.dim(0)), input_fmt_.frac);
-        for (int64_t j = 0; j < x.numel(); ++j) {
-            q.v[static_cast<size_t>(j)] = input_fmt_.quantize(x[j]);
-        }
-        ptrs[static_cast<size_t>(i)] = &q;
-    }
-    exec(ptrs.data(), count);
-    for (int b = 0; b < count; ++b) {
-        IAct& o = slots_[static_cast<size_t>(out_slot_)]
-                        [static_cast<size_t>(b)];
-        outs[b] = QuantizedModel::dequantize(to_qact(o.shape, o.v, o.frac));
-    }
+    ensure_workers();
+    ensure_batch(count);
+    for (int b = 0; b < count; ++b) load(b, *xs[b]);
+    exec(count);
+    for (int b = 0; b < count; ++b) output_tensor(b, outs[b]);
 }
 
 }  // namespace ringcnn::quant

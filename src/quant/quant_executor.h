@@ -9,33 +9,41 @@
  * fuse epilogues -> arena assignment) and lowers the IR to integer
  * kernels, the way nn::ModelExecutor lowers the float model:
  *
- *  - every QConvNode becomes a core::QuantConvKernel — pre-quantized
- *    int8 weights in band-contiguous tap order, int32 bias, int32
- *    accumulation through the simd::axpy_i32 row kernels — and the
- *    QDirReluNode / QRequantNode the fusion pass attached to it (one
- *    always follows a conv in the graph) runs in the band pass as an
- *    integer epilogue: align shifts, Hadamard butterfly, rectify,
- *    butterfly, per-component round/saturate (the Fig. 8 on-the-fly
- *    pipeline), or the quantize-first ablation sequence, in one pass
- *    per output band while the accumulators are hot;
+ *  - activations are int16 codes end to end (feature widths 2..16):
+ *    the float entry points quantize straight into the entry slot with
+ *    simd::quantize_f32_i16 and dequantize straight from the out slot;
+ *  - every QConvNode becomes a core::QuantConvKernel — int8 weights
+ *    packed as input-channel pair taps, int32 bias — and each conv task
+ *    stages the zero-haloed int16 pair rows its band reads, then runs
+ *    one simd::madd_rows_i16 pass per output row (two taps per lane
+ *    op). The QDirReluNode / QRequantNode the fusion pass attached to
+ *    the conv (one always follows a conv in the graph) runs in the same
+ *    task as a simd epilogue on int32 lanes with int16 codes out: align
+ *    shifts, Hadamard butterfly, rectify, butterfly, per-component
+ *    round/saturate (the Fig. 8 on-the-fly pipeline), the
+ *    quantize-first ablation sequence, or requant;
  *  - all other nodes (shuffles, pad/crop, residual and two-branch
  *    aligned adds, the fixed-point bilinear upsampler) become
- *    allocation-free steps over a slotted int32 activation arena
+ *    allocation-free steps over a slotted int16 activation arena
  *    recycled by the arena planner's compile-time liveness — after the
  *    first run the steady state performs no heap allocations;
- *  - conv work parallelizes across (image, output band, row band)
- *    tasks on the persistent util::ThreadPool.
+ *  - conv work parallelizes across (image, row band, output-group
+ *    chunk) tasks on the persistent util::ThreadPool, each worker with
+ *    its own staging and accumulator band.
  *
  * Bit-exactness: every step performs the same integer operations as
  * the scalar QNode oracle. Integer addition is exact and
- * order-independent, so the reordered row-kernel conv is bit-identical
- * to the int64 reference whenever the true accumulator fits in int32;
- * the plan records the feature bits live at each conv's input and the
+ * order-independent, so the paired-tap conv is bit-identical to the
+ * int64 reference whenever the true accumulator fits in int32; the
+ * plan records the feature bits live at each conv's input and the
  * lowering proves that bound statically per conv
- * (QuantConvKernel::int32_safe), compiling any conv that fails it —
- * or whose weights exceed int8 — onto the scalar oracle node instead.
- * tests/test_quant_executor.cc pins the equivalence raw-integer by
- * raw-integer across rings, shapes, options, and thread counts.
+ * (QuantConvKernel::int32_safe), then proves from each channel's bound
+ * and the epilogue's static shifts that every aligned, butterflied and
+ * rounded epilogue intermediate fits int32 too. A conv that fails
+ * either proof — or whose weights exceed int8 — compiles onto the
+ * scalar oracle node instead. tests/test_quant_executor.cc pins the
+ * equivalence raw-integer by raw-integer across rings, shapes,
+ * options, feature widths and thread counts.
  *
  * The executor holds pointers into the model's node graph: the
  * QuantizedModel must outlive it. One executor serves one caller at a
@@ -79,13 +87,18 @@ struct QuantExecOptions
 class QuantExecutor
 {
   public:
+    /** Throws std::invalid_argument unless the model's feature width
+     *  is 2..16 bits (the int16 activation arena), and
+     *  std::logic_error for a conv the plan left without its requant or
+     *  directional-ReLU epilogue. */
     explicit QuantExecutor(const QuantizedModel& qm,
                            QuantExecOptions opt = {});
     ~QuantExecutor();
     QuantExecutor(const QuantExecutor&) = delete;
     QuantExecutor& operator=(const QuantExecutor&) = delete;
 
-    /** Integer graph forward; bit-identical to root->forward(in). */
+    /** Integer graph forward; bit-identical to root->forward(in). The
+     *  input must hold codes of the model's feature width. */
     QAct run(const QAct& in);
     /** Batched integer forward: one output per input, in order. */
     std::vector<QAct> run(const std::vector<QAct>& ins);
@@ -106,13 +119,13 @@ class QuantExecutor
     size_t step_count() const { return steps_.size(); }
     /** Activation-arena slot count. */
     int slot_count() const { return static_cast<int>(slots_.size()); }
-    /** Convs compiled onto the int8/int32 row kernels. */
+    /** Convs compiled onto the paired-tap int16 kernels. */
     int fast_conv_count() const { return fast_convs_; }
-    /** Convs that fell back to the scalar oracle node (overflow-unsafe
-     *  bound or weights beyond int8). */
+    /** Convs that fell back to the scalar oracle node (an accumulator
+     *  or epilogue bound beyond int32, or weights beyond int8). */
     int scalar_conv_count() const { return scalar_convs_; }
     /** Zero weights the compiled kernels excluded from their tap
-     *  lists, summed over the fast convs (the quantized mirror of
+     *  tables, summed over the fast convs (the quantized mirror of
      *  nn::ModelExecutor::sparse_tap_skip_count). */
     int64_t sparse_tap_skip_count() const
     {
@@ -125,21 +138,21 @@ class QuantExecutor
     const plan::GraphPlan& plan() const { return plan_; }
 
   private:
-    /** Arena activation: int32 CHW planes + per-channel frac. Every
-     *  value the plan stores here is 8-bit-class or a proven-int32
-     *  conv accumulator, so the narrow lanes are exact. */
+    /** Arena activation: int16 CHW code planes + per-channel frac.
+     *  Every value the plan stores here is a code of the feature width
+     *  (2..16 bits): convs always end in their fused epilogue. */
     struct IAct
     {
         Shape shape;
-        std::vector<int32_t> v;
+        std::vector<int16_t> v;
         std::vector<int> frac;
 
         int64_t plane() const
         {
             return static_cast<int64_t>(shape[1]) * shape[2];
         }
-        int32_t* ch(int c) { return v.data() + c * plane(); }
-        const int32_t* ch(int c) const { return v.data() + c * plane(); }
+        int16_t* ch(int c) { return v.data() + c * plane(); }
+        const int16_t* ch(int c) const { return v.data() + c * plane(); }
         void reset(const Shape& s)
         {
             shape = s;
@@ -147,9 +160,12 @@ class QuantExecutor
         }
     };
 
+    /** Output rows [y0, y1) of output groups [g0, g1) of one image;
+     *  `cell` indexes the task's ABFT partial sums. */
     struct ConvTask
     {
-        int img, group, y0, y1;
+        int img, g0, g1, y0, y1;
+        int64_t cell;
     };
 
     using Step = std::function<void(int)>;  ///< arg: batch size
@@ -161,9 +177,19 @@ class QuantExecutor
     /** Correct-but-allocating fallback through QNode::forward. */
     void lower_fallback(const QNode* node, int in, int out);
 
-    int band_rows(int h, int groups_total) const;
+    /** Output rows per conv task for an h x w input whose staging
+     *  reads `pairs` channel pairs. */
+    int band_rows(int h, int w, int pairs, int k) const;
+    /** Resolves the worker count and sizes the per-worker scratch. */
+    void ensure_workers();
     void ensure_batch(int count);
-    void exec(const QAct* const* ins, int count);
+    /** Quantizes / copies image b into the entry slot. */
+    void load(int b, const Tensor& x);
+    void load(int b, const QAct& q);
+    /** Runs every step over the loaded entry slot. */
+    void exec(int count);
+    QAct output_qact(int b) const;
+    void output_tensor(int b, Tensor& out) const;
 
     QuantExecOptions opt_;
     QuantOptions qopt_;
@@ -178,7 +204,8 @@ class QuantExecutor
 
     std::vector<Step> steps_;
     std::vector<std::unique_ptr<QuantConvKernel>> kernels_;
-    std::vector<std::vector<int32_t>> wband_;  ///< per-worker conv bands
+    std::vector<std::vector<int32_t>> wband_;  ///< per-worker accumulators
+    std::vector<QuantConvKernel::Band> stage_; ///< per-worker staged rows
     std::vector<ConvTask> tasks_;              ///< reused task list
     int threads_ = 1;
     int batch_capacity_ = 0;

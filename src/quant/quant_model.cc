@@ -212,7 +212,7 @@ QPixelUnshuffleNode::forward(const QAct& x) const
         const int c = x.channels(), h = x.shape[1] / r, w = x.shape[2] / r;
         QAct out;
         out.shape = {c * r * r, h, w};
-        out.v.resize(x.v.size());
+        out.v.resize(static_cast<size_t>(shape_numel(out.shape)));
         out.frac.resize(static_cast<size_t>(c) * r * r);
         for (int ic = 0; ic < c; ++ic) {
             for (int dy = 0; dy < r; ++dy) {

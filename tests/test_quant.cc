@@ -7,7 +7,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <random>
 
 #include "core/ring_conv.h"
@@ -116,51 +118,244 @@ TEST(QFormat, HugeFracSaturatesInsteadOfOverflowing)
     EXPECT_EQ(g.quantize(g.dequantize(100)), 100);
 }
 
-TEST(SimdInt32Rows, MatchInt64ReferenceIncludingWrapAndTails)
+TEST(SimdInt16Rows, MaddRowsGenericAndDispatchedAgreeAtInt16Rims)
 {
-    // Both int32 row kernels against an int64 reference reduced mod
-    // 2^32, over lengths that exercise the 8-wide AVX2 body and its
-    // scalar tail, with values at the int32 rim so the wrap semantics
-    // of the generic (uint32) and SIMD (mullo/add) builds are pinned
-    // to each other.
+    // The paired-tap conv row kernel against an int64 reference reduced
+    // mod 2^32, for the generic build and the dispatched one (AVX2 where
+    // the CPU has it): lengths through the 32-wide blocks, the 8-wide
+    // body and the masked tail, tap counts 1, 2 and 37, and -32768 /
+    // 32767 in both halves of source and weight words — where one
+    // vpmaddwd lane's pair sum itself wraps (2 * (-32768)^2 = 2^31).
     std::mt19937 rng(87);
-    std::uniform_int_distribution<int32_t> small(-128, 127);
-    const std::vector<int32_t> interesting = {
-        0, 1, -1, 127, -128, INT32_MAX, INT32_MIN, INT32_MAX - 1,
+    std::uniform_int_distribution<int> any16(INT16_MIN, INT16_MAX);
+    std::uniform_int_distribution<int32_t> any32(INT32_MIN, INT32_MAX);
+    const int16_t rims[] = {INT16_MIN, INT16_MAX, INT16_MIN, -1, INT16_MAX};
+    auto pick = [&](int64_t i) {
+        return i % 3 == 0 ? rims[static_cast<size_t>(i / 3) % 5]
+                          : static_cast<int16_t>(any16(rng));
     };
-    for (const int64_t len : {1, 7, 8, 9, 16, 31}) {
-        std::vector<int32_t> src(static_cast<size_t>(len));
-        std::vector<int32_t> dst(static_cast<size_t>(len));
-        for (int64_t i = 0; i < len; ++i) {
-            src[static_cast<size_t>(i)] =
-                (i % 3 == 0)
-                    ? interesting[static_cast<size_t>(i) %
-                                  interesting.size()]
-                    : small(rng);
-            dst[static_cast<size_t>(i)] = small(rng);
+    for (const int ntaps : {1, 2, 37}) {
+        for (const int64_t len : {1, 7, 8, 9, 31, 32, 33, 65}) {
+            // Tap t reads pair words [3t, 3t + len): overlapping windows
+            // of one exactly-sized source row.
+            const int64_t words = 3 * (ntaps - 1) + len;
+            std::vector<int16_t> src(static_cast<size_t>(2 * words));
+            for (int64_t i = 0; i < 2 * words; ++i) {
+                src[static_cast<size_t>(i)] = pick(i);
+            }
+            std::vector<int64_t> offsets(static_cast<size_t>(ntaps));
+            std::vector<int16_t> coeffs(static_cast<size_t>(2 * ntaps));
+            for (int t = 0; t < ntaps; ++t) {
+                offsets[static_cast<size_t>(t)] = 3 * t;
+                coeffs[static_cast<size_t>(2 * t)] = pick(2 * t);
+                coeffs[static_cast<size_t>(2 * t + 1)] = pick(2 * t + 1);
+            }
+            coeffs[0] = INT16_MIN;  // both rims in both halves
+            coeffs[1] = ntaps > 1 ? INT16_MAX : INT16_MIN;
+            std::vector<int32_t> dst(static_cast<size_t>(len));
+            for (auto& d : dst) d = any32(rng);
+            dst[0] = INT32_MAX;
+
+            std::vector<int32_t> want(dst.size());
+            for (int64_t i = 0; i < len; ++i) {
+                int64_t acc = dst[static_cast<size_t>(i)];
+                for (int t = 0; t < ntaps; ++t) {
+                    const size_t w = static_cast<size_t>(
+                        2 * (offsets[static_cast<size_t>(t)] + i));
+                    acc += static_cast<int64_t>(src[w]) *
+                               coeffs[static_cast<size_t>(2 * t)] +
+                           static_cast<int64_t>(src[w + 1]) *
+                               coeffs[static_cast<size_t>(2 * t + 1)];
+                }
+                want[static_cast<size_t>(i)] = static_cast<int32_t>(
+                    static_cast<uint32_t>(static_cast<uint64_t>(acc)));
+            }
+            std::vector<int32_t> generic = dst, dispatched = dst;
+            simd::detail::madd_rows_i16_generic(generic.data(), src.data(),
+                                                offsets.data(), coeffs.data(),
+                                                ntaps, len);
+            simd::madd_rows_i16(dispatched.data(), src.data(),
+                                offsets.data(), coeffs.data(), ntaps, len);
+            EXPECT_EQ(generic, want) << "len=" << len << " taps=" << ntaps;
+            EXPECT_EQ(dispatched, generic)
+                << simd::active_isa() << " len=" << len
+                << " taps=" << ntaps;
         }
-        for (const int32_t a : {0, 1, -1, 127, -128, 77}) {
-            std::vector<int32_t> got = dst;
-            simd::axpy_i32(got.data(), src.data(), a, len);
-            for (int64_t i = 0; i < len; ++i) {
-                const uint64_t want =
-                    static_cast<uint32_t>(dst[static_cast<size_t>(i)]) +
-                    static_cast<uint32_t>(a) *
-                        static_cast<uint32_t>(src[static_cast<size_t>(i)]);
-                EXPECT_EQ(got[static_cast<size_t>(i)],
-                          static_cast<int32_t>(
-                              static_cast<uint32_t>(want)))
-                    << "axpy len=" << len << " a=" << a << " i=" << i;
+    }
+}
+
+TEST(SimdEpilogues, GenericAndDispatchedMatchInt64Oracle)
+{
+    // The int32-lane requant and directional-ReLU epilogues against the
+    // int64 oracle arithmetic (shift_round_saturate, wht_inplace) over
+    // accumulators bounded so the lanes cannot overflow — the bound
+    // QuantExecutor proves before picking these kernels — with both
+    // builds compared element for element, across every tuple width,
+    // left and right shifts, and tails shorter than one vector.
+    std::mt19937 rng(88);
+    for (const int bits : {4, 8, 12, 16}) {
+        for (const int64_t len : {1, 7, 8, 9, 33}) {
+            // Requant: |acc| <= 2^20 and shifts in [-10, 10].
+            std::uniform_int_distribution<int32_t> acc(-(1 << 20), 1 << 20);
+            for (const int shift : {-10, -1, 0, 1, 7, 10}) {
+                for (const bool relu : {false, true}) {
+                    std::vector<int32_t> src(static_cast<size_t>(len));
+                    for (auto& v : src) v = acc(rng);
+                    src[0] = -(1 << 20);
+                    std::vector<int16_t> g(src.size()), d(src.size());
+                    simd::detail::requant_i32_i16_generic(
+                        g.data(), src.data(), len, shift, bits, relu);
+                    simd::requant_i32_i16(d.data(), src.data(), len, shift,
+                                          bits, relu);
+                    for (int64_t i = 0; i < len; ++i) {
+                        int64_t v = src[static_cast<size_t>(i)];
+                        if (relu && v < 0) v = 0;
+                        EXPECT_EQ(g[static_cast<size_t>(i)],
+                                  shift_round_saturate(v, shift, bits))
+                            << "requant bits=" << bits << " shift=" << shift;
+                    }
+                    EXPECT_EQ(d, g) << simd::active_isa();
+                }
             }
-            simd::scale_i32(got.data(), src.data(), a, len);
-            for (int64_t i = 0; i < len; ++i) {
-                const uint32_t want =
-                    static_cast<uint32_t>(a) *
-                    static_cast<uint32_t>(src[static_cast<size_t>(i)]);
-                EXPECT_EQ(got[static_cast<size_t>(i)],
-                          static_cast<int32_t>(want))
-                    << "scale len=" << len << " a=" << a << " i=" << i;
+            // Directional ReLU, both pipelines: per-component shifts.
+            for (const int n : {1, 2, 4, 8, 16}) {
+                std::uniform_int_distribution<int32_t> small(-(1 << 16),
+                                                             1 << 16);
+                std::uniform_int_distribution<int> align(0, 6), sh(-3, 12);
+                std::vector<std::vector<int32_t>> rows(
+                    static_cast<size_t>(n),
+                    std::vector<int32_t>(static_cast<size_t>(len)));
+                std::vector<int> e1(static_cast<size_t>(n)), e2(e1), e3(e1);
+                std::vector<const int32_t*> srcs;
+                for (int j = 0; j < n; ++j) {
+                    for (auto& v : rows[static_cast<size_t>(j)]) v = small(rng);
+                    srcs.push_back(rows[static_cast<size_t>(j)].data());
+                    e1[static_cast<size_t>(j)] = align(rng);
+                    e2[static_cast<size_t>(j)] = sh(rng);
+                    e3[static_cast<size_t>(j)] = sh(rng);
+                }
+                for (const bool otf : {true, false}) {
+                    std::vector<std::vector<int16_t>> g(
+                        static_cast<size_t>(n),
+                        std::vector<int16_t>(static_cast<size_t>(len)));
+                    auto d = g;
+                    std::vector<int16_t*> gp, dp;
+                    for (int j = 0; j < n; ++j) {
+                        gp.push_back(g[static_cast<size_t>(j)].data());
+                        dp.push_back(d[static_cast<size_t>(j)].data());
+                    }
+                    if (otf) {
+                        simd::detail::dir_relu_otf_i32_i16_generic(
+                            gp.data(), srcs.data(), n, e1.data(), e2.data(),
+                            bits, len);
+                        simd::dir_relu_otf_i32_i16(dp.data(), srcs.data(), n,
+                                                   e1.data(), e2.data(), bits,
+                                                   len);
+                    } else {
+                        simd::detail::dir_relu_qfirst_i32_i16_generic(
+                            gp.data(), srcs.data(), n, e1.data(), e2.data(),
+                            e3.data(), bits, len);
+                        simd::dir_relu_qfirst_i32_i16(
+                            dp.data(), srcs.data(), n, e1.data(), e2.data(),
+                            e3.data(), bits, len);
+                    }
+                    for (int64_t i = 0; i < len; ++i) {
+                        int64_t t[16];
+                        for (int j = 0; j < n; ++j) {
+                            const int64_t v =
+                                rows[static_cast<size_t>(j)]
+                                    [static_cast<size_t>(i)];
+                            t[j] = otf ? v * (INT64_C(1)
+                                              << e1[static_cast<size_t>(j)])
+                                       : shift_round_saturate(
+                                             v, e1[static_cast<size_t>(j)],
+                                             bits);
+                        }
+                        wht_inplace(t, n);
+                        for (int j = 0; j < n; ++j) {
+                            if (!otf) {
+                                t[j] = shift_round_saturate(
+                                    t[j], e2[static_cast<size_t>(j)], bits);
+                            }
+                            if (t[j] < 0) t[j] = 0;
+                        }
+                        wht_inplace(t, n);
+                        for (int j = 0; j < n; ++j) {
+                            const int shift = otf ? e2[static_cast<size_t>(j)]
+                                                  : e3[static_cast<size_t>(j)];
+                            EXPECT_EQ(g[static_cast<size_t>(j)]
+                                       [static_cast<size_t>(i)],
+                                      shift_round_saturate(t[j], shift, bits))
+                                << (otf ? "otf" : "q-first") << " n=" << n
+                                << " bits=" << bits << " len=" << len;
+                        }
+                    }
+                    EXPECT_EQ(d, g) << simd::active_isa() << " n=" << n;
+                }
             }
+        }
+    }
+}
+
+TEST(SimdQuantize, BitIdenticalToScalarQuantizerOnSampledFloatBits)
+{
+    // The vector quantizer against QFormat::quantize on sampled float
+    // bit patterns plus the hand-picked edges: NaN (quiet and
+    // signalling, both signs), +-Inf, +-0, exact halves on both sides
+    // of zero, subnormals, the largest finite floats and the values
+    // that land exactly on and just beyond the code range — over
+    // feature widths 2..16 and fracs from saturating to vanishing.
+    std::vector<float> samples;
+    auto bits_of = [](uint32_t u) {
+        float f;
+        std::memcpy(&f, &u, sizeof f);
+        return f;
+    };
+    for (const uint32_t u :
+         {0x7fc00000u, 0xffc00000u, 0x7f800001u, 0xff800001u, 0x7f800000u,
+          0xff800000u, 0x00000000u, 0x80000000u, 0x00000001u, 0x80000001u,
+          0x007fffffu, 0x807fffffu, 0x00800000u, 0x7f7fffffu, 0xff7fffffu,
+          0x3effffffu, 0xbeffffffu}) {
+        samples.push_back(bits_of(u));
+    }
+    for (int v = -70000; v <= 70000; v += 1) {
+        samples.push_back(static_cast<float>(v) + 0.5f);  // exact halves
+    }
+    for (const float edge : {127.0f, 127.5f, 127.49999f, -128.0f, -128.5f,
+                             -128.49998f, 32767.0f, 32767.5f, -32768.0f,
+                             -32768.5f, 0.5f, -0.5f, 1.5f, -1.5f}) {
+        samples.push_back(edge);
+        samples.push_back(std::nextafter(edge, 0.0f));
+        samples.push_back(std::nextafter(edge, 1e30f));
+    }
+    std::mt19937 rng(89);
+    for (int i = 0; i < (1 << 20); ++i) {
+        samples.push_back(bits_of(static_cast<uint32_t>(rng())));
+    }
+    const int64_t n = static_cast<int64_t>(samples.size());
+    for (const int bits : {2, 8, 16}) {
+        for (const int frac : {-2000, -150, -7, 0, 1, 3, 7, 20, 150, 2000}) {
+            const QFormat f{bits, frac};
+            std::vector<int16_t> g(samples.size()), d(samples.size());
+            simd::detail::quantize_f32_i16_generic(g.data(), samples.data(),
+                                                   n, frac, bits);
+            simd::quantize_f32_i16(d.data(), samples.data(), n, frac, bits);
+            int64_t mismatches = 0;
+            for (int64_t i = 0; i < n; ++i) {
+                const int64_t want = f.quantize(samples[static_cast<size_t>(i)]);
+                if (g[static_cast<size_t>(i)] != want ||
+                    d[static_cast<size_t>(i)] != want) {
+                    if (++mismatches <= 5) {
+                        ADD_FAILURE() << "bits=" << bits << " frac=" << frac
+                                      << " x=" << samples[static_cast<size_t>(i)]
+                                      << " want " << want << " generic "
+                                      << g[static_cast<size_t>(i)] << " "
+                                      << simd::active_isa() << " "
+                                      << d[static_cast<size_t>(i)];
+                    }
+                }
+            }
+            EXPECT_EQ(mismatches, 0) << "bits=" << bits << " frac=" << frac;
         }
     }
 }
@@ -168,7 +363,7 @@ TEST(SimdInt32Rows, MatchInt64ReferenceIncludingWrapAndTails)
 TEST(QuantConvKernel, AccumulatorsAtInt32ExtremesMatchOracle)
 {
     // One 1x1 conv whose accumulator touches INT32_MAX exactly and one
-    // that reaches INT32_MIN + 1: the int32 row kernels must preserve
+    // that reaches INT32_MIN + 1: the staged band kernel must preserve
     // the rim values bit for bit against the int64 oracle.
     const int co = 2, ci = 1, k = 1, h = 3, w = 5;
     const std::vector<int32_t> wts = {-128, 127};  // [co][ci][1][1]
@@ -197,15 +392,20 @@ TEST(QuantConvKernel, AccumulatorsAtInt32ExtremesMatchOracle)
             -128, -128, 127, 3, -3};
     const QAct want = oracle.forward(in);
 
-    std::vector<int32_t> x32(in.v.begin(), in.v.end());
-    // Every row banding must agree with the whole-plane oracle.
+    std::vector<int16_t> x16(in.v.begin(), in.v.end());
+    // Every row banding, staged for one channel or for all of them,
+    // must agree with the whole-plane oracle.
+    QuantConvKernel::Band staged;
     for (const int band : {1, 2, 3}) {
         for (int oc = 0; oc < co; ++oc) {
             for (int y0 = 0; y0 < h; y0 += band) {
                 const int y1 = std::min(y0 + band, h);
                 std::vector<int32_t> rows(
                     static_cast<size_t>(y1 - y0) * w, 0);
-                kern.conv_rows(x32.data(), h, w, oc, y0, y1, rows.data());
+                const bool all = (y0 / band) % 2 == 0;
+                kern.stage(x16.data(), h, w, all ? 0 : oc, all ? co : oc + 1,
+                           y0, y1, staged);
+                kern.conv_band(staged, oc, rows.data());
                 for (int y = y0; y < y1; ++y) {
                     for (int xx = 0; xx < w; ++xx) {
                         EXPECT_EQ(

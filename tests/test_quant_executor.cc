@@ -1,20 +1,23 @@
 /**
  * @file
  * Bit-exactness suite for the quantized engine path: the compiled
- * QuantExecutor (int8 weights, int32 accumulators, simd::axpy_i32 row
- * kernels, fused Fig. 8 integer epilogues) must reproduce the scalar
- * QNode oracle walk raw integer by raw integer — never tolerance-
- * compared — across every registered ring, odd/even image sizes,
- * k in {1, 3}, the on-the-fly vs quantize-first directional-ReLU
- * pipelines, component-wise vs uniform Q-formats, and thread counts,
- * plus ~100 seeded random (weights, Q-format, input) draws and the
- * full ERNet-PU / SRResNet graphs (pad/crop/shuffle/residual/
- * two-branch/bilinear nodes).
+ * QuantExecutor (int16 activation codes, int8 weights packed as
+ * paired taps through simd::madd_rows_i16, int32 accumulators, fused
+ * Fig. 8 epilogues on int32 lanes) must reproduce the scalar QNode
+ * oracle walk raw integer by raw integer — never tolerance-compared —
+ * across every registered ring, odd/even image sizes, k in {1, 3}, the
+ * on-the-fly vs quantize-first directional-ReLU pipelines,
+ * component-wise vs uniform Q-formats, and thread counts, plus 100
+ * seeded random (weights, Q-format, feature width, input) draws, the
+ * full ERNet-PU (odd widths included), SRResNet and SR4ERNet graphs
+ * (pad/crop/shuffle/residual/two-branch/bilinear nodes), and the
+ * boundary of the static int32 epilogue proof.
  */
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <random>
+#include <stdexcept>
 #include <string>
 
 #include "core/ring_conv.h"
@@ -171,6 +174,46 @@ TEST(QuantExecutorModel, ErnetPuGraphBitExact)
     }
 }
 
+TEST(QuantExecutorModel, ErnetPuOddWidthsBitExact)
+{
+    // PixelUnshuffle(2) over sizes r does not divide: the floored
+    // output must read the source with the input's row stride, and the
+    // oracle must size its output to its shape.
+    models::ErnetConfig mc;
+    mc.channels = 8;
+    mc.blocks = 1;
+    nn::Model m = models::build_dn_ernet_pu(models::Algebra::with_fh("RI4"),
+                                            mc);
+    std::mt19937 rng(907);
+    std::vector<Tensor> calib{data::synthetic_image(3, 16, 16, rng)};
+    const QuantizedModel qm(m, calib);
+    QuantExecutor ex(qm);
+    for (const auto& [h, w] : {std::pair{17, 23}, std::pair{18, 23},
+                               std::pair{33, 47}}) {
+        const QAct in =
+            qm.quantize_input(data::synthetic_image(3, h, w, rng));
+        expect_bit_identical(qm.root()->forward(in), ex.run(in),
+                             "dn_ernet_pu " + std::to_string(h) + "x" +
+                                 std::to_string(w));
+    }
+}
+
+TEST(QuantExecutorModel, Sr4ErnetGraphBitExact)
+{
+    models::ErnetConfig mc;
+    mc.channels = 8;
+    mc.blocks = 1;
+    nn::Model m =
+        models::build_sr4_ernet(models::Algebra::with_fh("RI4"), mc);
+    std::mt19937 rng(908);
+    std::vector<Tensor> calib{data::synthetic_image(3, 12, 9, rng)};
+    const QuantizedModel qm(m, calib);
+    QuantExecutor ex(qm);
+    EXPECT_EQ(ex.scalar_conv_count(), 0);
+    const QAct in = qm.quantize_input(data::synthetic_image(3, 11, 13, rng));
+    expect_bit_identical(qm.root()->forward(in), ex.run(in), "sr4_ernet RI4");
+}
+
 TEST(QuantExecutorModel, SrresnetWithBilinearSkipBitExact)
 {
     // Two-branch graph with the fixed-point bilinear upsampler skip.
@@ -204,7 +247,9 @@ TEST(QuantExecutorModel, BatchedRunMatchesPerImageOracle)
         ins.push_back(
             qm.quantize_input(data::synthetic_image(2 * ring.n, h, w, rng)));
     }
+    ThreadsEnv env(4);  // conv tasks split across workers
     QuantExecutor ex(qm);
+    EXPECT_TRUE(ex.run(std::vector<QAct>{}).empty());
     const std::vector<QAct> got = ex.run(ins);
     ASSERT_EQ(got.size(), ins.size());
     for (size_t i = 0; i < ins.size(); ++i) {
@@ -280,10 +325,11 @@ TEST(QuantExecutorModel, WideWeightsFallBackToScalarAndStayExact)
 
 TEST(QuantExecutorProperty, HundredRandomDrawsBitExact)
 {
-    // ~100 seeded random (weights, Q-formats via input scaling, inputs)
-    // draws: quantize -> infer -> dequantize through the engine and the
-    // scalar walk must agree bit for bit. On failure the seed and the
-    // minimal (ring, shape, k) tuple identify the reproduction.
+    // 100 seeded random (weights, Q-formats via input scaling, feature
+    // width, inputs) draws: quantize -> infer -> dequantize through the
+    // engine and the scalar walk must agree bit for bit. On failure the
+    // seed and the minimal (ring, shape, k, feature_bits) tuple
+    // identify the reproduction.
     const auto& rings = all_ring_names();
     for (unsigned seed = 0; seed < 100; ++seed) {
         std::mt19937 rng(seed);
@@ -291,7 +337,13 @@ TEST(QuantExecutorProperty, HundredRandomDrawsBitExact)
             get_ring(rings[rng() % rings.size()]);
         const int k = (rng() % 2) == 0 ? 1 : 3;
         const int h = 5 + static_cast<int>(rng() % 9);
-        const int w = 5 + static_cast<int>(rng() % 9);
+        // Odd, prime and vector-block-edge widths (the conv rows run in
+        // 32- and 8-lane blocks with a masked tail).
+        static const int kWidths[] = {1, 2, 3, 5, 7, 8, 9, 11, 13,
+                                      16, 17, 23, 31, 32, 33, 37};
+        const int w = kWidths[rng() % 16];
+        static const int kFeatureBits[] = {4, 8, 12, 16};
+        const int fbits = kFeatureBits[rng() % 4];
         const int ct = 1 + static_cast<int>(rng() % 2);
         const int layers = 1 + static_cast<int>(rng() % 2);
         // Scale activations across several octaves so the per-layer /
@@ -302,7 +354,7 @@ TEST(QuantExecutorProperty, HundredRandomDrawsBitExact)
             "seed=" + std::to_string(seed) + " ring=" + ring.name +
             " shape=[" + std::to_string(ct * ring.n) + ", " +
             std::to_string(h) + ", " + std::to_string(w) + "] k=" +
-            std::to_string(k);
+            std::to_string(k) + " feature_bits=" + std::to_string(fbits);
         SCOPED_TRACE(what);
 
         nn::Model m = ring_backbone(ring, ct, layers, k, seed * 31 + 7);
@@ -313,6 +365,7 @@ TEST(QuantExecutorProperty, HundredRandomDrawsBitExact)
             calib.push_back(std::move(t));
         }
         QuantOptions qo;
+        qo.feature_bits = fbits;
         qo.onthefly_dir_relu = (rng() % 2) == 0;
         qo.componentwise_q = (rng() % 2) == 0;
         const QuantizedModel qm(m, calib, qo);
@@ -331,6 +384,89 @@ TEST(QuantExecutorProperty, HundredRandomDrawsBitExact)
         for (int64_t i = 0; i < fo.numel(); ++i) {
             ASSERT_EQ(fo[i], fg[i]) << what << " flat index " << i;
         }
+    }
+}
+
+TEST(QuantExecutorModel, FeatureWidthBeyondInt16ArenaIsTypedError)
+{
+    nn::Model m = ring_backbone(get_ring("RI2"), 1, 1, 3, 57);
+    std::mt19937 rng(909);
+    std::vector<Tensor> calib{data::synthetic_image(2, 6, 6, rng)};
+    QuantOptions qo;
+    qo.feature_bits = 17;
+    const QuantizedModel qm(m, calib, qo);
+    try {
+        QuantExecutor ex(qm);
+        FAIL() << "17-bit features must not compile onto the int16 arena";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("got 17"), std::string::npos)
+            << e.what();
+    }
+}
+
+/**
+ * A one-conv RI2 graph (1x1, n = 2, on-the-fly directional ReLU) edited
+ * in place so the static epilogue proof sits exactly at its boundary.
+ * Component 1 accumulates at 3 fewer fractional bits, so the epilogue
+ * aligns it << 3 before the butterflies; its bias sets the bound:
+ *
+ *   S = B0 + 2^3 * B1,  B_i = |bias_i| + sum|w_i| * 2^(8-1),
+ *
+ * and the int32 lanes are proven exact iff 2 * S + 2^(10-1) (second
+ * butterfly, then the rounding add of the final >> 10) <= INT32_MAX.
+ * The executor and the oracle both read the edited nodes.
+ */
+struct EdgeGraph
+{
+    std::unique_ptr<QuantizedModel> qm;
+    QConvNode* conv = nullptr;
+
+    explicit EdgeGraph(int64_t bias1)
+    {
+        nn::Model m = ring_backbone(get_ring("RI2"), 1, 1, 1, 58);
+        std::mt19937 rng(910);
+        std::vector<Tensor> calib{data::synthetic_image(2, 4, 4, rng)};
+        qm = std::make_unique<QuantizedModel>(m, calib);
+        auto* seq = const_cast<QSeq*>(dynamic_cast<const QSeq*>(qm->root()));
+        conv = dynamic_cast<QConvNode*>(seq->nodes.at(0).get());
+        auto* dir = dynamic_cast<QDirReluNode*>(seq->nodes.at(1).get());
+        if (conv == nullptr || dir == nullptr || !dir->onthefly ||
+            dir->n != 2) {
+            throw std::logic_error("unexpected RI2 graph");
+        }
+        conv->w = {100, 0, 0, 100};  // [co][ci][1][1]
+        conv->out_frac = {10, 7};
+        conv->bias = {1000, bias1};
+        dir->out_frac = {1, 1};  // final shift: 10 + log2(2) - 1 = 10
+    }
+};
+
+TEST(QuantExecutorProof, DirReluAlignBoundJustInsideStaysFastOutsideFallsBack)
+{
+    constexpr int64_t kWeightPart = 100 * 128;
+    const int64_t b0 = 1000 + kWeightPart;
+    const int64_t s_max = (INT64_C(2147483647) - (1 << 9)) / 2;
+    const int64_t bias_in = (s_max - b0) / 8 - kWeightPart;
+    ASSERT_LE(2 * (b0 + 8 * (bias_in + kWeightPart)) + (1 << 9),
+              INT64_C(2147483647));
+    ASSERT_GT(2 * (b0 + 8 * (bias_in + 1 + kWeightPart)) + (1 << 9),
+              INT64_C(2147483647));
+
+    for (const int64_t bias1 : {bias_in, bias_in + 1}) {
+        const EdgeGraph g(bias1);
+        QuantExecutor ex(*g.qm);
+        const bool inside = bias1 == bias_in;
+        EXPECT_EQ(ex.scalar_conv_count(), inside ? 0 : 1) << bias1;
+        EXPECT_EQ(ex.fast_conv_count(), inside ? 1 : 0) << bias1;
+        // Inputs at both code rims drive the shifted component's
+        // accumulator to within sum|w| of its bound.
+        QAct in;
+        in.shape = {2, 3, 4};
+        in.frac = {0, 0};
+        in.v = {127, -128, 127, 127, -128, -128, 0, 127, 1, -1, 127, -128,
+                127, 127, -128, 127, 127, -128, -128, 0, 127, 127, 3, -3};
+        expect_bit_identical(g.qm->root()->forward(in), ex.run(in),
+                             inside ? "just inside" : "just outside");
     }
 }
 
