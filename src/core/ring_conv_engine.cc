@@ -17,6 +17,15 @@ namespace {
  *  fixed-size stack arrays. */
 constexpr int kMaxTuple = 16;
 
+/** Staging budget of one fp32 conv task: its band's zero-haloed input
+ *  rows for every plane, sized to stay cache-resident (the int8 path's
+ *  budget). Sets the band height. */
+constexpr int64_t kStageBytes = 256 << 10;
+
+/** Longest tap table one row pass takes: beyond ~100 source rows the
+ *  per-tile working set thrashes L1 and every tile re-reads from L2. */
+constexpr int kTapChunk = 96;
+
 }  // namespace
 
 RingConvEngine::RingConvEngine(const Ring& ring, const RingConvWeights& w,
@@ -211,15 +220,35 @@ RingConvEngine::validate_input(const Tensor& x) const
 }
 
 int
-RingConvEngine::band_rows(int h, int threads) const
+RingConvEngine::band_rows(int h, int w) const
 {
+    if (h <= 0) return 1;
     if (opt_.row_band > 0) return std::min(opt_.row_band, h);
-    // Aim for a few tasks per worker across the output tuples while
-    // keeping bands at least 8 rows tall; any choice is bit-equivalent.
-    const int target_tasks = std::max(threads * 4, co_t_);
-    const int bands = std::max(1, target_tasks / std::max(co_t_, 1));
-    const int bh = std::max((h + bands - 1) / bands, std::min(8, h));
-    return std::min(bh, h);
+    // As many rows as the staging budget holds for every input plane
+    // (any banding is bit-equivalent; this only shapes cache use and
+    // parallel grain), but at least 8 so the k-1 halo rows stay a small
+    // overhead; then evened out over the bands that takes.
+    const int64_t row_bytes = static_cast<int64_t>(ci_t_) * m_ *
+                              (static_cast<int64_t>(w) + k_ - 1) *
+                              static_cast<int64_t>(sizeof(float));
+    const int64_t fit = kStageBytes / std::max<int64_t>(row_bytes, 1) -
+                        (k_ - 1);
+    const int rows =
+        static_cast<int>(std::clamp<int64_t>(fit, std::min(8, h), h));
+    const int bands = (h + rows - 1) / rows;
+    return (h + bands - 1) / bands;
+}
+
+int64_t
+RingConvEngine::work(int h, int w) const
+{
+    // The directional epilogue costs 2n multiply-adds per output value
+    // (V then U), on the 1x1 pump convs twice the conv's own MACs.
+    const int64_t epilogue =
+        epilogue_ == ConvEpilogue::kDirectional
+            ? 2 * static_cast<int64_t>(n_) * co_t_ * n_ * h * w
+            : 0;
+    return macs(h, w) + epilogue;
 }
 
 void
@@ -335,252 +364,231 @@ RingConvEngine::conv_band_f64(const float* xt, int h, int wd, int co,
 }
 
 void
-RingConvEngine::conv_band_f32_fused(const float* const* planes, int h,
-                                    int wd, int co, int y0, int y1,
-                                    Tensor& out,
-                                    RingConvScratch::Worker& scratch,
-                                    double* sums) const
+RingConvEngine::conv_band_f32(const float* const* planes, int h, int wd,
+                              int co0, int co1, int y0, int y1, Tensor& out,
+                              RingConvScratch::Worker& scratch,
+                              double* sums) const
 {
     const int pad = k_ / 2;
     const int bh = y1 - y0;
+    const int np = ci_t_ * m_;
 
-    // Component-wise convolutions (eq. (7)): per (r, output row) the
-    // valid compiled taps are gathered into a table in (ci, ky, kx)
-    // order, and the whole row is computed in ONE
-    // simd::matvec_rows_f32 pass instead of a zero fill plus one
-    // read-modify-write pass per tap. Boundary columns (where the
-    // outermost kx taps fall off the image) run a scalar loop over the
-    // same ordered table. Per-element order is fixed by the table, so
-    // results are invariant under banding and thread count.
-    //
-    // When Tz is the identity (the RI rings), each component IS its
-    // output channel: rows are computed straight into the output
-    // tensor and the reconstruction pass reduces to the bias add.
-    // Otherwise components accumulate into the scratch band and the
-    // nonzero Tz terms reconstruct them.
-    float* z = nullptr;
-    if (!identity_tz_) {
-        const size_t zneed = static_cast<size_t>(m_) * bh * wd;
-        if (scratch.z32.size() < zneed) scratch.z32.resize(zneed);
-        z = scratch.z32.data();
+    // Input rows [sy0, sy1) of every plane the taps of tuples [co0, co1)
+    // read. With k > 1 they are staged once per task with a zero halo
+    // of `pad` columns on both sides, so every tap spans all wd output
+    // columns and each output row is ONE vector pass with no boundary
+    // columns; with k == 1 every tap is valid everywhere and the planes
+    // are read in place. Tap (yy, kx) of plane p starts at
+    // plane_rows[p] + (yy - sy0) * stride + kx.
+    const int sy0 = std::max(0, y0 - pad);
+    const int sy1 = std::min(h, y1 + pad);
+    const int64_t stride = static_cast<int64_t>(wd) + 2 * pad;
+    const float** plane_rows = scratch.plane_rows.data();
+    std::fill_n(plane_rows, np, nullptr);
+    if (pad == 0) {
+        for (int p = 0; p < np; ++p) {
+            plane_rows[p] = planes[p] + static_cast<int64_t>(sy0) * wd;
+        }
+    } else {
+        // Mark the planes the chunk's taps read (tuple ci, component
+        // r) with their source, then stage each marked plane.
+        for (int co = co0; co < co1; ++co) {
+            for (int r = 0; r < m_; ++r) {
+                const size_t slot = static_cast<size_t>(co) * m_ + r;
+                for (int64_t t = sp_off_[slot]; t < sp_off_[slot + 1]; ++t) {
+                    const int p = sp_taps_[static_cast<size_t>(t)].ci * m_ + r;
+                    plane_rows[p] = planes[p];
+                }
+            }
+        }
+        float* dst = scratch.stage.get();
+        for (int p = 0; p < np; ++p) {
+            const float* src = plane_rows[p];
+            if (src == nullptr) continue;
+            plane_rows[p] = dst;
+            for (int yy = sy0; yy < sy1; ++yy, dst += stride) {
+                std::fill_n(dst, pad, 0.0f);
+                std::copy_n(src + static_cast<int64_t>(yy) * wd, wd,
+                            dst + pad);
+                std::fill_n(dst + pad + wd, pad, 0.0f);
+            }
+        }
     }
-    const size_t max_taps = static_cast<size_t>(ci_t_) * k_ * k_;
-    if (scratch.tap_src.size() < max_taps) {
-        scratch.tap_src.resize(max_taps);
-        scratch.tap_w.resize(max_taps);
-        scratch.tap_lo.resize(max_taps);
-        scratch.tap_hi.resize(max_taps);
-    }
+
+    float* z = identity_tz_ ? nullptr : scratch.z32.data();
     const float** tsrc = scratch.tap_src.data();
     float* tw = scratch.tap_w.data();
-    int* tlo = scratch.tap_lo.data();
-    int* thi = scratch.tap_hi.data();
 
-    for (int r = 0; r < m_; ++r) {
-        float* zr = identity_tz_
-                        ? out.data() +
-                              (static_cast<int64_t>(co * n_ + r) * h + y0) *
-                                  wd
-                        : z + static_cast<size_t>(r) * bh * wd;
+    for (int co = co0; co < co1; ++co) {
+        // Component-wise convolutions (eq. (7)): per (r, output row) the
+        // valid compiled taps are gathered into a table in (ci, ky, kx)
+        // order, and the whole row is computed in ONE
+        // simd::matvec_rows_f32 pass. Per-element order is fixed by the
+        // table, so results are invariant under banding, chunking and
+        // thread count.
+        //
+        // When Tz is the identity (the RI rings), each component IS its
+        // output channel: rows are computed straight into the output
+        // tensor and the reconstruction pass reduces to the bias add.
+        // Otherwise components accumulate into the scratch band and the
+        // nonzero Tz terms reconstruct them.
+        for (int r = 0; r < m_; ++r) {
+            float* zr =
+                identity_tz_
+                    ? out.data() +
+                          (static_cast<int64_t>(co * n_ + r) * h + y0) * wd
+                    : z + static_cast<size_t>(r) * bh * wd;
 
-        // One output row, tap table already built for it (pointers
-        // pre-shifted by +lx so the interior call needs no per-row
-        // pointer pass; boundary columns index back through -lx). The
-        // row is OVERWRITTEN — accumulation starts from the first term,
-        // exactly as a zero-initialized accumulator would round.
-        const auto run_row = [&](int y, int nt, int lx, int rx) {
-            float* zrow = zr + static_cast<size_t>(y - y0) * wd;
-            // Boundary columns: scalar walk over the ordered tap table,
-            // honoring each tap's valid range.
-            for (int xx = 0; xx < std::min(lx, wd); ++xx) {
-                float acc = 0.0f;
-                for (int t = 0; t < nt; ++t) {
-                    if (xx >= tlo[t] && xx < thi[t]) {
-                        acc += tw[t] * tsrc[t][xx - lx];
-                    }
-                }
-                zrow[xx] = acc;
-            }
-            for (int xx = std::max(rx, lx); xx < wd; ++xx) {
-                float acc = 0.0f;
-                for (int t = 0; t < nt; ++t) {
-                    if (xx >= tlo[t] && xx < thi[t]) {
-                        acc += tw[t] * tsrc[t][xx - lx];
-                    }
-                }
-                zrow[xx] = acc;
-            }
-            if (rx > lx) {
+            // Output rows [y, y + nrows), all with the tap table built for
+            // row y (row i reads each source i * stride further on).
+            // Rows are OVERWRITTEN — accumulation starts from the first
+            // term. Columns outside [lx, rx) also take the halo's zero
+            // products, which change no nonzero partial sum; the one
+            // `+ 0.0f` turns a -0 result back into the +0 that an
+            // accumulator skipping those taps, starting from +0,
+            // produces (it never produces -0).
+            const auto run_rows = [&](int y, int nrows, int nt, int lx,
+                                      int rx) {
+                float* zrow = zr + static_cast<size_t>(y - y0) * wd;
                 if (nt == 0) {
-                    std::fill(zrow + lx, zrow + rx, 0.0f);
+                    std::fill_n(zrow, static_cast<size_t>(nrows) * wd, 0.0f);
                     return;
                 }
                 // Chunk long tap tables so each pass's source rows fit
-                // L1 (beyond ~100 rows the per-block working set
-                // thrashes and every block re-reads from L2). Chunks
-                // apply in order, so per-element accumulation order —
-                // and therefore every bit — is unchanged.
-                constexpr int kTapChunk = 96;
+                // L1. Chunks apply in order, so per-element
+                // accumulation order — and every bit — is unchanged.
                 const int first = std::min(nt, kTapChunk);
-                simd::matvec_rows_f32(zrow + lx, tsrc, tw, first, rx - lx);
+                simd::matvec_rows_f32(zrow, tsrc, tw, first, wd, nrows,
+                                      stride, wd);
                 for (int t0 = first; t0 < nt; t0 += kTapChunk) {
-                    simd::axpy_rows_f32(zrow + lx, tsrc + t0, tw + t0,
-                                        std::min(kTapChunk, nt - t0),
-                                        rx - lx);
+                    simd::axpy_rows_f32(zrow, tsrc + t0, tw + t0,
+                                        std::min(kTapChunk, nt - t0), wd,
+                                        nrows, stride, wd);
                 }
-            }
-        };
-
-        // Builds the tap table for output row y from the compiled
-        // nonzero-tap list of (co, r), pre-shifted by +lx.
-        const size_t slot = static_cast<size_t>(co) * m_ + r;
-        const auto build_row = [&](int y, int& lx, int& rx) {
-            int nt = 0;
-            lx = 0;
-            rx = wd;
-            for (int64_t t = sp_off_[slot]; t < sp_off_[slot + 1]; ++t) {
-                const SparseTap& st = sp_taps_[static_cast<size_t>(t)];
-                const int yy = y + st.ky - pad;
-                if (yy < 0 || yy >= h) continue;
-                tsrc[nt] = planes[st.ci * m_ + r] +
-                           static_cast<int64_t>(yy) * wd + (st.kx - pad);
-                tw[nt] = st.w;
-                tlo[nt] = std::max(0, pad - st.kx);
-                thi[nt] = std::min(wd, wd + pad - st.kx);
-                lx = std::max(lx, tlo[nt]);
-                rx = std::min(rx, thi[nt]);
-                ++nt;
-            }
-            for (int t = 0; t < nt; ++t) tsrc[t] += lx;
-            return nt;
-        };
-
-        // Rows whose kernel footprint leaves the image (top/bottom pad
-        // rows) have per-row tap sets; every interior row shares ONE
-        // set whose source pointers just advance by wd — the table is
-        // built once per (r, band), not once per row.
-        const int yA = std::min(std::max(y0, pad), y1);
-        const int yB = std::max(std::min(y1, h - pad), yA);
-        int lx = 0, rx = wd;
-        for (int y = y0; y < yA; ++y) {
-            const int nt = build_row(y, lx, rx);
-            run_row(y, nt, lx, rx);
-        }
-        if (yA < yB) {
-            const int nt = build_row(yA, lx, rx);
-            for (int y = yA; y < yB; ++y) {
-                run_row(y, nt, lx, rx);
-                for (int t = 0; t < nt; ++t) tsrc[t] += wd;
-            }
-        }
-        for (int y = yB; y < y1; ++y) {
-            const int nt = build_row(y, lx, rx);
-            run_row(y, nt, lx, rx);
-        }
-    }
-
-    // Fused output pass, band-row by band-row while z is hot in cache:
-    // bias + reconstruction (eq. (8)) over only the NONZERO Tz terms,
-    // then the epilogue, each n x n chain as one fused row pass. (Like
-    // the zero filter-tap skip, dropping an exactly-zero coefficient
-    // only differs through non-finite activations.) With identity Tz
-    // the components already sit in the output rows: reconstruction is
-    // just the bias add — skipped entirely when every bias is exactly
-    // zero.
-    const float* srcs[kMaxTuple];
-    float cf[kMaxTuple];
-    const bool no_output_pass =
-        identity_tz_ && bias32_zero_ && epilogue_ == ConvEpilogue::kNone;
-    // With identity Tz, zero bias, and no epilogue the conv section
-    // above already wrote the final rows — but an ABFT capture still
-    // needs its read pass over them.
-    if (no_output_pass && sums == nullptr) return;
-    for (int y = 0; y < bh; ++y) {
-        if (identity_tz_) {
-            if (!bias32_zero_) {
-                for (int i = 0; i < n_; ++i) {
-                    float* orow = out.data() +
-                        (static_cast<int64_t>(co * n_ + i) * h + y0 + y) *
-                            wd;
-                    const float b = bias32_[static_cast<size_t>(co) * n_ + i];
-                    for (int xx = 0; xx < wd; ++xx) {
-                        orow[xx] = b + orow[xx];
+                for (int i = 0; i < nrows; ++i, zrow += wd) {
+                    for (int xx = 0; xx < std::min(lx, wd); ++xx) {
+                        zrow[xx] += 0.0f;
+                    }
+                    for (int xx = std::max(rx, lx); xx < wd; ++xx) {
+                        zrow[xx] += 0.0f;
                     }
                 }
+            };
+
+            // Builds the tap table for output row y from the compiled
+            // nonzero-tap list of (co, r); [lx, rx) is where every
+            // listed tap falls inside the image.
+            const size_t slot = static_cast<size_t>(co) * m_ + r;
+            const auto build_row = [&](int y, int& lx, int& rx) {
+                int nt = 0;
+                lx = 0;
+                rx = wd;
+                for (int64_t t = sp_off_[slot]; t < sp_off_[slot + 1]; ++t) {
+                    const SparseTap& st = sp_taps_[static_cast<size_t>(t)];
+                    const int yy = y + st.ky - pad;
+                    if (yy < 0 || yy >= h) continue;
+                    tsrc[nt] = plane_rows[st.ci * m_ + r] +
+                               static_cast<int64_t>(yy - sy0) * stride +
+                               st.kx;
+                    tw[nt] = st.w;
+                    lx = std::max(lx, pad - st.kx);
+                    rx = std::min(rx, wd + pad - st.kx);
+                    ++nt;
+                }
+                return nt;
+            };
+
+            // Rows whose kernel footprint leaves the image (top/bottom
+            // pad rows) have per-row tap sets; every interior row shares
+            // ONE set whose source pointers just advance by a row — the
+            // table is built once per (r, band) and the interior runs as
+            // one multi-row pass.
+            const int yA = std::min(std::max(y0, pad), y1);
+            const int yB = std::max(std::min(y1, h - pad), yA);
+            int lx = 0, rx = wd;
+            for (int y = y0; y < yA; ++y) {
+                const int nt = build_row(y, lx, rx);
+                run_rows(y, 1, nt, lx, rx);
             }
-        } else {
-            for (int i = 0; i < n_; ++i) {
-                float* orow = out.data() +
-                    (static_cast<int64_t>(co * n_ + i) * h + y0 + y) * wd;
-                std::fill_n(orow, wd,
-                            bias32_[static_cast<size_t>(co) * n_ + i]);
-                const auto& nz = tz32_nz_[static_cast<size_t>(i)];
+            if (yA < yB) {
+                const int nt = build_row(yA, lx, rx);
+                run_rows(yA, yB - yA, nt, lx, rx);
+            }
+            for (int y = yB; y < y1; ++y) {
+                const int nt = build_row(y, lx, rx);
+                run_rows(y, 1, nt, lx, rx);
+            }
+        }
+
+        // Fused output pass over the band while it is hot in cache,
+        // per output channel over its bh*wd contiguous values: bias +
+        // reconstruction (eq. (8)) over only the NONZERO Tz terms, then
+        // the epilogue. (Like the zero filter-tap skip, dropping an
+        // exactly-zero coefficient only differs through non-finite
+        // activations.) With identity Tz the components already sit in
+        // the output rows: reconstruction is just the bias add —
+        // skipped entirely when every bias is exactly zero.
+        const int64_t len = static_cast<int64_t>(bh) * wd;
+        float* orows[kMaxTuple];
+        for (int i = 0; i < n_; ++i) {
+            orows[i] =
+                out.data() + (static_cast<int64_t>(co * n_ + i) * h + y0) * wd;
+        }
+        double* csums =
+            sums != nullptr ? sums + static_cast<size_t>(co - co0) * n_
+                            : nullptr;
+        if (identity_tz_ && bias32_zero_ &&
+            epilogue_ == ConvEpilogue::kNone && csums == nullptr) {
+            // The conv section already wrote the final rows.
+            continue;
+        }
+        for (int i = 0; i < n_; ++i) {
+            float* ob = orows[i];
+            const float b = bias32_[static_cast<size_t>(co) * n_ + i];
+            if (identity_tz_) {
+                if (!bias32_zero_) {
+                    for (int64_t e = 0; e < len; ++e) ob[e] = b + ob[e];
+                }
+            } else {
+                const float* srcs[kMaxTuple];
+                float cf[kMaxTuple];
                 int cnt = 0;
-                for (const auto& [r, c] : nz) {
-                    srcs[cnt] = z + (static_cast<size_t>(r) * bh + y) * wd;
+                for (const auto& [r, c] : tz32_nz_[static_cast<size_t>(i)]) {
+                    srcs[cnt] = z + static_cast<size_t>(r) * bh * wd;
                     cf[cnt] = c;
                     ++cnt;
                 }
-                simd::axpy_rows_f32(orow, srcs, cf, cnt, wd);
+                std::fill_n(ob, len, b);
+                simd::axpy_rows_f32(ob, srcs, cf, cnt, len);
             }
-        }
-        // ABFT capture: the rows now hold the pre-epilogue conv result
-        // (on the identity-Tz path they held it coming in). One SIMD
-        // row reduction per channel; the float rounding rides inside
-        // the checker's row-width tolerance term.
-        if (sums != nullptr) {
-            const int gy = y0 + y;
-            if (gy >= pad && gy < h - pad) {
-                for (int i = 0; i < n_; ++i) {
-                    const float* orow = out.data() +
-                        (static_cast<int64_t>(co * n_ + i) * h + gy) * wd;
-                    sums[i] += static_cast<double>(
-                        simd::sum_f32(orow + pad, wd - 2 * pad));
+            // ABFT capture: the rows now hold the pre-epilogue conv
+            // result. One SIMD row reduction per interior row; the
+            // float rounding rides inside the checker's row-width
+            // tolerance term.
+            if (csums != nullptr) {
+                for (int gy = std::max(y0, pad); gy < std::min(y1, h - pad);
+                     ++gy) {
+                    csums[i] += static_cast<double>(simd::sum_f32(
+                        ob + static_cast<int64_t>(gy - y0) * wd + pad,
+                        wd - 2 * pad));
+                }
+            }
+            if (epilogue_ == ConvEpilogue::kRelu) {
+                for (int64_t e = 0; e < len; ++e) {
+                    ob[e] = ob[e] > 0.0f ? ob[e] : 0.0f;
                 }
             }
         }
-        if (epilogue_ == ConvEpilogue::kRelu) {
-            for (int i = 0; i < n_; ++i) {
-                float* orow = out.data() +
-                    (static_cast<int64_t>(co * n_ + i) * h + y0 + y) * wd;
-                for (int xx = 0; xx < wd; ++xx) {
-                    orow[xx] = orow[xx] > 0.0f ? orow[xx] : 0.0f;
-                }
-            }
-        } else if (epilogue_ == ConvEpilogue::kDirectional) {
-            float* rows[kMaxTuple];
-            for (int i = 0; i < n_; ++i) {
-                rows[i] = out.data() +
-                    (static_cast<int64_t>(co * n_ + i) * h + y0 + y) * wd;
-            }
-            if (scratch.dir.size() < static_cast<size_t>(n_) * wd) {
-                scratch.dir.resize(static_cast<size_t>(n_) * wd);
-            }
-            for (int i = 0; i < n_; ++i) {
-                float* ti = scratch.dir.data() + static_cast<size_t>(i) * wd;
-                simd::matvec_rows_f32(
-                    ti, rows, v32_.data() + static_cast<size_t>(i) * n_, n_,
-                    wd);
-                for (int xx = 0; xx < wd; ++xx) {
-                    ti[xx] = ti[xx] > 0.0f ? ti[xx] : 0.0f;
-                }
-            }
-            for (int i = 0; i < n_; ++i) {
-                for (int j = 0; j < n_; ++j) {
-                    srcs[j] =
-                        scratch.dir.data() + static_cast<size_t>(j) * wd;
-                }
-                simd::matvec_rows_f32(
-                    rows[i], srcs,
-                    u32_.data() + static_cast<size_t>(i) * n_, n_, wd);
-            }
+        if (epilogue_ == ConvEpilogue::kDirectional) {
+            simd::dir_relu_f32(orows, orows, n_, u32_.data(), v32_.data(),
+                               len, nullptr);
         }
     }
 }
 
 struct RingConvEngine::Task
 {
-    int img, co, y0, y1;
+    int img, co0, co1, y0, y1;
 };
 
 void
@@ -596,15 +604,16 @@ RingConvEngine::run_into(const Tensor* const* xs, Tensor* outs, int count,
     // Clamp workers so each gets a meaningful slice: small inputs
     // (e.g. training-eval patches, possibly already nested under
     // util::run_parallel) run inline rather than paying scheduling
-    // that costs more than the arithmetic it hides.
+    // that costs more than the arithmetic it hides. The estimate counts
+    // the fused epilogue's multiply-adds with the conv's.
     constexpr int64_t kMinMacsPerThread = 1 << 21;
-    int64_t total_macs = 0;
+    int64_t total_work = 0;
     for (int b = 0; b < count; ++b) {
-        total_macs += macs(xs[b]->dim(1), xs[b]->dim(2));
+        total_work += work(xs[b]->dim(1), xs[b]->dim(2));
     }
     const int threads = static_cast<int>(
         std::min<int64_t>(util::resolve_threads(opt_.threads),
-                          std::max<int64_t>(1, total_macs /
+                          std::max<int64_t>(1, total_work /
                                                    kMinMacsPerThread)));
     if (static_cast<int>(sc.workers.size()) < threads) {
         sc.workers.resize(static_cast<size_t>(threads));
@@ -679,30 +688,69 @@ RingConvEngine::run_into(const Tensor* const* xs, Tensor* outs, int count,
         }
     }
 
-    // One task per (image, output tuple, row band), band-major: all
-    // output tuples of one row band run before the next band, so the
-    // transformed-input rows the band reads stay cache-hot across the
-    // co_t tuple passes instead of being streamed co_t times. Pure
-    // scheduling — tasks are independent, results identical.
+    // One task per (image, row band, output-tuple chunk): a task
+    // stages its band's input rows once and runs every tuple of its
+    // chunk over them. Tuples split into chunks only when the bands
+    // alone leave workers idle. Pure scheduling — tasks are
+    // independent, results identical under any split.
+    int64_t row_tasks = 0;
+    for (int b = 0; b < count; ++b) {
+        const int h = xs[b]->dim(1);
+        const int bh = band_rows(h, xs[b]->dim(2));
+        row_tasks += (h + bh - 1) / bh;
+    }
+    const int64_t want = static_cast<int64_t>(threads) * 4;
+    const int chunks =
+        threads > 1 && row_tasks > 0 && row_tasks < want
+            ? static_cast<int>(std::min<int64_t>(
+                  co_t_, (want + row_tasks - 1) / row_tasks))
+            : 1;
+    const int per_chunk = (co_t_ + chunks - 1) / chunks;
     std::vector<Task> tasks;
+    size_t stage_need = 0, z_need = 0;
     for (int b = 0; b < count; ++b) {
         const int h = xs[b]->dim(1), wd = xs[b]->dim(2);
         outs[b].reset({co_t_ * n_, h, wd});
-        const int bh = band_rows(h, threads);
+        const int bh = band_rows(h, wd);
         for (int y0 = 0; y0 < h; y0 += bh) {
-            for (int co = 0; co < co_t_; ++co) {
-                tasks.push_back({b, co, y0, std::min(y0 + bh, h)});
+            for (int co0 = 0; co0 < co_t_; co0 += per_chunk) {
+                tasks.push_back({b, co0, std::min(co0 + per_chunk, co_t_), y0,
+                                 std::min(y0 + bh, h)});
             }
         }
+        if (k_ > 1) {
+            stage_need = std::max(
+                stage_need, static_cast<size_t>(ci_t_) * m_ *
+                                std::min(h, bh + k_ - 1) * (wd + k_ - 1));
+        }
+        if (!identity_tz_) {
+            z_need = std::max(z_need, static_cast<size_t>(m_) * bh * wd);
+        }
     }
-    // ABFT capture: one private cell block of n doubles per task, so
-    // no band pass races another's accumulator. Reduced below in
-    // task-index order — deterministic under any thread count.
+    // Every worker's fp32 buffers are sized here, on the calling thread:
+    // a buffer a pool worker allocated would come from that thread's
+    // malloc arena, whose top malloc_trim does not return to the system
+    // after the owning executor is gone.
+    if (!strict) {
+        for (int w = 0; w < threads; ++w) {
+            RingConvScratch::Worker& ws = sc.workers[static_cast<size_t>(w)];
+            if (ws.stage_size < stage_need) {
+                ws.stage.reset(new float[stage_need]);
+                ws.stage_size = stage_need;
+            }
+            if (ws.z32.size() < z_need) ws.z32.resize(z_need);
+            ws.plane_rows.resize(static_cast<size_t>(ci_t_) * m_);
+            ws.tap_src.resize(static_cast<size_t>(ci_t_) * k_ * k_);
+            ws.tap_w.resize(static_cast<size_t>(ci_t_) * k_ * k_);
+        }
+    }
+    // ABFT capture: one private cell block of per_chunk * n doubles per
+    // task, so no band pass races another's accumulator. Reduced below
+    // in task-index order — deterministic under any thread count.
     const bool capture = interior_sums != nullptr;
+    const size_t cell_stride = static_cast<size_t>(per_chunk) * n_;
     std::vector<double> cells;
-    if (capture && !strict) {
-        cells.assign(tasks.size() * static_cast<size_t>(n_), 0.0);
-    }
+    if (capture && !strict) cells.assign(tasks.size() * cell_stride, 0.0);
     util::parallel_for_worker(
         static_cast<int64_t>(tasks.size()),
         [&](int worker, int64_t i) {
@@ -716,18 +764,19 @@ RingConvEngine::run_into(const Tensor* const* xs, Tensor* outs, int count,
             const Task& t = tasks[static_cast<size_t>(i)];
             RingConvScratch::Worker& ws =
                 sc.workers[static_cast<size_t>(worker)];
+            const int h = xs[t.img]->dim(1), wd = xs[t.img]->dim(2);
             if (strict) {
-                conv_band_f64(sc.xt[static_cast<size_t>(t.img)].data(),
-                              xs[t.img]->dim(1), xs[t.img]->dim(2), t.co,
-                              t.y0, t.y1, outs[t.img], ws);
+                for (int co = t.co0; co < t.co1; ++co) {
+                    conv_band_f64(sc.xt[static_cast<size_t>(t.img)].data(), h,
+                                  wd, co, t.y0, t.y1, outs[t.img], ws);
+                }
             } else {
-                double* cell =
-                    capture ? cells.data() + static_cast<size_t>(i) * n_
-                            : nullptr;
-                conv_band_f32_fused(
-                    sc.xplanes[static_cast<size_t>(t.img)].data(),
-                    xs[t.img]->dim(1), xs[t.img]->dim(2), t.co, t.y0, t.y1,
-                    outs[t.img], ws, cell);
+                double* cell = capture ? cells.data() +
+                                             static_cast<size_t>(i) * cell_stride
+                                       : nullptr;
+                conv_band_f32(sc.xplanes[static_cast<size_t>(t.img)].data(),
+                              h, wd, t.co0, t.co1, t.y0, t.y1, outs[t.img],
+                              ws, cell);
             }
         },
         threads);
@@ -760,9 +809,10 @@ RingConvEngine::run_into(const Tensor* const* xs, Tensor* outs, int count,
                 const Task& tk = tasks[t];
                 double* dst =
                     interior_sums->data() +
-                    (static_cast<size_t>(tk.img) * co_t_ + tk.co) * n_;
-                for (int i = 0; i < n_; ++i) {
-                    dst[i] += cells[t * static_cast<size_t>(n_) + i];
+                    (static_cast<size_t>(tk.img) * co_t_ + tk.co0) * n_;
+                const double* src = cells.data() + t * cell_stride;
+                for (int i = 0; i < (tk.co1 - tk.co0) * n_; ++i) {
+                    dst[i] += src[i];
                 }
             }
         }

@@ -8,14 +8,14 @@
  *
  *   1. precomputes g~ and the expanded bias once per weight set,
  *   2. runs the component-wise 2-D convolutions as row-contiguous
- *      stride-1 kernels (fused simd row passes over the compiled
- *      nonzero taps on the default float path; the original
+ *      stride-1 kernels (register-tiled simd row passes over the
+ *      compiled nonzero taps on the default float path; the original
  *      double-accumulation loops on the strict path),
  *   3. fuses bias, the reconstruction transform Tz, and an optional
  *      ReLU / directional-ReLU epilogue into one pass over each output
  *      band, so activations never round-trip through memory,
- *   4. parallelizes across output tuples and output-row bands on the
- *      persistent util::ThreadPool, and
+ *   4. parallelizes across (image, output-row band, output-tuple
+ *      chunk) tasks on the persistent util::ThreadPool, and
  *   5. exposes batched entry points (and caller-owned scratch) so
  *      demos, benches, the model executor, and the quantized
  *      simulator's calibration pass share one hot path.
@@ -24,15 +24,25 @@
  *
  *  - Default (strict_fp64 == false): float32 accumulation throughout.
  *    The nonzero taps of g~ are compiled into per-(tuple, component)
- *    tap lists at set_weights() time, and each output row accumulates
- *    its live taps in one fused row pass (simd::matvec_rows_f32); the
- *    input-transform and reconstruction / epilogue chains are fused
- *    the same way. Deterministic and invariant under thread count, row
- *    banding, batching, and the dispatched ISA; differs from the fp64
+ *    tap lists at set_weights() time. A task stages its band's input
+ *    rows once, with a zero halo of k/2 columns on both sides, so every
+ *    output row of every tuple is ONE simd::matvec_rows_f32 pass over
+ *    all columns: each element is the first tap's product followed by
+ *    the adds of the rest in (ci, ky, kx) order. At columns where a tap
+ *    falls outside the image that tap adds the halo's +-0 product, which
+ *    leaves every nonzero partial sum as it is; one final `+ 0.0f`
+ *    there makes the result equal, sign of zero included, to skipping
+ *    the tap and starting from +0. The directional epilogue runs in
+ *    registers (simd::dir_relu_f32), as does the unfused DirectionalReLU
+ *    step. Deterministic and invariant under thread count, row banding,
+ *    chunking, batching, and the dispatched ISA; differs from the fp64
  *    path by normal float rounding (observed max |Δ| well under 1e-4
- *    on unit-scale activations). The fused passes keep per-pixel tuple
- *    rows in fixed 16-entry arrays, so the constructor rejects fp32
- *    engines on rings with m > 16 or n > 16.
+ *    on unit-scale activations). The halo products are exact zeros for
+ *    finite weights; a non-finite weight (rejected by the executor's
+ *    verified refresh) also turns the boundary columns it touches to
+ *    NaN. The fused passes keep per-pixel tuple rows in fixed 16-entry
+ *    arrays, so the constructor rejects fp32 engines on rings with
+ *    m > 16 or n > 16.
  *  - Strict (strict_fp64 == true): for every output element the engine
  *    performs the same operations, on the same operand values, in the
  *    same order as the original ring_conv_fast() loop nest, so results
@@ -46,6 +56,7 @@
 #define RINGCNN_CORE_RING_CONV_ENGINE_H
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -81,10 +92,12 @@ enum class ConvEpilogue
 
 /**
  * Reusable buffers for engine runs, owned by the caller (the model
- * executor's execution plan keeps one per engine step, so steady-state
- * inference performs no allocations). `xt` holds the transformed input
- * planes per batch image; `workers[w]` is the scratch of parallel
- * worker w (per-band accumulators hoisted out of the hot loops).
+ * executor keeps one for all of its conv steps, so steady-state
+ * inference performs no allocations and the per-worker staging is
+ * shared rather than held once per step). `xt` holds the transformed
+ * input planes per batch image; `workers[w]` is the scratch of parallel
+ * worker w (staged input rows and per-band accumulators hoisted out of
+ * the hot loops). One run at a time per scratch.
  */
 struct RingConvScratch
 {
@@ -95,15 +108,23 @@ struct RingConvScratch
     std::vector<std::vector<const float*>> xplanes;
     struct Worker
     {
+        /** fp32 path, k > 1: the task's input rows [y0 - k/2,
+         *  y1 + k/2) (clipped to the image) of every plane its taps
+         *  read, with a zero halo of k/2 columns on both sides. Left
+         *  uninitialized (a task writes every value it reads), so
+         *  sizing it touches no memory; `stage_size` floats. */
+        std::unique_ptr<float[]> stage;
+        size_t stage_size = 0;
+        /** fp32 path: per input plane, its first row in `stage` (or in
+         *  the plane itself when k == 1). */
+        std::vector<const float*> plane_rows;
         std::vector<float> z32;    ///< fp32 per-band component planes
-        std::vector<float> dir;    ///< directional-epilogue tuple rows
         std::vector<double> z64;   ///< strict-path per-band planes
         std::vector<double> acc64; ///< strict-path transform accumulator
-        /** fp32 path: per-row tap table (source row pointers,
-         *  coefficients, valid column ranges), rebuilt per output row. */
+        /** fp32 path: per-row tap table (source row pointers and
+         *  coefficients), rebuilt per output row. */
         std::vector<const float*> tap_src;
         std::vector<float> tap_w;
-        std::vector<int> tap_lo, tap_hi;
     };
     std::vector<Worker> workers;
 };
@@ -190,10 +211,15 @@ class RingConvEngine
     int64_t sparse_tap_skip_count() const { return sparse_skip_; }
 
   private:
-    struct Task;  // one (image, output tuple, row band) work item
+    struct Task;  // one (image, row band, output-tuple chunk) work item
 
     void validate_input(const Tensor& x) const;
-    int band_rows(int h, int threads) const;
+    /** Output rows per task for an h x w input: as many as the fp32
+     *  staging budget holds, at least 8 (or the row_band option). */
+    int band_rows(int h, int w) const;
+    /** Multiply-adds of one H x W forward including the fused
+     *  epilogue's (the worker-count estimate). */
+    int64_t work(int h, int w) const;
     /** Tx-transform of input tuple t, component r, into a float plane
      *  (strict path: double accumulation through `acc`). */
     void transform_plane_f64(const Tensor& x, int t, int r, float* dst,
@@ -204,15 +230,15 @@ class RingConvEngine
     void conv_band_f64(const float* xt, int h, int w, int co, int y0,
                        int y1, Tensor& out,
                        RingConvScratch::Worker& scratch) const;
-    /** fp32 band pass over the compiled tap lists. `planes` maps
-     *  (tuple, component) -> input plane (aliased or transformed; see
-     *  RingConvScratch::xplanes). `sums` (optional): n doubles
-     *  receiving the band's pre-epilogue interior sums per output
-     *  component (ABFT capture). */
-    void conv_band_f32_fused(const float* const* planes, int h, int w,
-                             int co, int y0, int y1, Tensor& out,
-                             RingConvScratch::Worker& scratch,
-                             double* sums = nullptr) const;
+    /** fp32 band pass of output tuples [co0, co1) over the compiled
+     *  tap lists. `planes` maps (tuple, component) -> input plane
+     *  (aliased or transformed; see RingConvScratch::xplanes). `sums`
+     *  (optional): (co1-co0)*n doubles receiving the band's
+     *  pre-epilogue interior sums per output channel (ABFT capture). */
+    void conv_band_f32(const float* const* planes, int h, int w, int co0,
+                       int co1, int y0, int y1, Tensor& out,
+                       RingConvScratch::Worker& scratch,
+                       double* sums = nullptr) const;
 
     const Ring* ring_;
     int co_t_, ci_t_, k_, n_, m_;

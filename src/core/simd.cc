@@ -308,31 +308,74 @@ asum_generic(const float* src, int64_t len)
     return acc;
 }
 
+}  // namespace
+
 // The fused multi-source kernels perform, per element, exactly the
 // operation sequence of the equivalent multiply/axpy call chain (ascending
 // term order, mul then add, no FMA), so every build and dispatch target
 // produces identical bits — and identical bits to the unfused chain.
+namespace detail {
+
 void
-axpy_rows_generic(float* dst, const float* const* srcs, const float* coeffs,
-                  int ntaps, int64_t len)
+axpy_rows_f32_generic(float* dst, const float* const* srcs,
+                      const float* coeffs, int ntaps, int64_t len,
+                      int64_t rows, int64_t src_stride, int64_t dst_stride)
 {
-    for (int64_t i = 0; i < len; ++i) {
-        float acc = dst[i];
-        for (int t = 0; t < ntaps; ++t) acc += coeffs[t] * srcs[t][i];
-        dst[i] = acc;
+    for (int64_t r = 0; r < rows; ++r) {
+        float* d = dst + r * dst_stride;
+        const int64_t so = r * src_stride;
+        for (int64_t i = 0; i < len; ++i) {
+            float acc = d[i];
+            for (int t = 0; t < ntaps; ++t) acc += coeffs[t] * srcs[t][so + i];
+            d[i] = acc;
+        }
     }
 }
 
 void
-matvec_rows_generic(float* dst, const float* const* srcs,
-                    const float* coeffs, int ntaps, int64_t len)
+matvec_rows_f32_generic(float* dst, const float* const* srcs,
+                        const float* coeffs, int ntaps, int64_t len,
+                        int64_t rows, int64_t src_stride, int64_t dst_stride)
 {
-    for (int64_t i = 0; i < len; ++i) {
-        float acc = coeffs[0] * srcs[0][i];
-        for (int t = 1; t < ntaps; ++t) acc += coeffs[t] * srcs[t][i];
-        dst[i] = acc;
+    for (int64_t r = 0; r < rows; ++r) {
+        float* d = dst + r * dst_stride;
+        const int64_t so = r * src_stride;
+        for (int64_t i = 0; i < len; ++i) {
+            float acc = coeffs[0] * srcs[0][so + i];
+            for (int t = 1; t < ntaps; ++t) acc += coeffs[t] * srcs[t][so + i];
+            d[i] = acc;
+        }
     }
 }
+
+void
+dir_relu_f32_generic(float* const* dst, const float* const* src, int n,
+                     const float* u, const float* v, int64_t len,
+                     uint8_t* const* mask)
+{
+    for (int64_t i = 0; i < len; ++i) {
+        float x[kMaxTuple], t[kMaxTuple];
+        for (int j = 0; j < n; ++j) x[j] = src[j][i];
+        for (int k = 0; k < n; ++k) {
+            const float* vk = v + k * n;
+            float acc = vk[0] * x[0];
+            for (int j = 1; j < n; ++j) acc += vk[j] * x[j];
+            const bool pos = acc > 0.0f;
+            t[k] = pos ? acc : 0.0f;
+            if (mask != nullptr) mask[k][i] = pos ? 1 : 0;
+        }
+        for (int k = 0; k < n; ++k) {
+            const float* uk = u + k * n;
+            float acc = uk[0] * t[0];
+            for (int j = 1; j < n; ++j) acc += uk[j] * t[j];
+            dst[k][i] = acc;
+        }
+    }
+}
+
+}  // namespace detail
+
+namespace {
 
 // Max over |a-b| is exact arithmetic (fabs and max introduce no
 // rounding), so the reduction order is free and the dispatch targets
@@ -465,137 +508,274 @@ asum_avx2(const float* src, int64_t len)
     return acc;
 }
 
-// 64 elements per iteration: each tap's broadcast is reused across 8
-// vectors, and the 8 independent accumulator chains cover the FP-add
-// latency (each chain sees one add per tap; with fewer chains the
-// serial add chain, not port throughput, bounds the loop). Same
-// elementwise mul+add sequence as the generic loop.
-__attribute__((target("avx2"))) void
-axpy_rows_avx2(float* dst, const float* const* srcs, const float* coeffs,
-               int ntaps, int64_t len)
+// Register-tiled rows. One tile runs the whole tap loop over B blocks of
+// 8 columns: blocks 0..B-2 at col, col+8, ... and block B-1 at `last`
+// (either the next 8 columns or, when 8 does not divide len, the tail
+// block anchored at len-8). Each tap's broadcast feeds B independent
+// accumulator chains, so with B = 8 the FP-add latency is covered and
+// port throughput, not the serial add chain, bounds the loop. Every
+// lane sees the generic loop's op sequence: the overwriting form starts
+// from the first product, the accumulating form from dst, and both add
+// the remaining products in ascending tap order (mul+add, no FMA).
+//
+// Overlapped tail lanes: the overwriting form recomputes the values
+// the other blocks store (a pure function of the sources), so the tail
+// block is stored whole. The accumulating form stores only the tail's
+// last 8 - `skip` lanes — the others were (or, within this tile, will
+// be) written by another block, and may already hold their final sums.
+template <int B, bool kAccumulate>
+__attribute__((target("avx2"))) inline void
+rows_tile_avx2(float* dst, const float* const* srcs, int64_t so,
+               const float* coeffs, int ntaps, int64_t col, int64_t last,
+               int skip)
+{
+    const auto at = [col, last](int j) {
+        return j < B - 1 ? col + 8 * j : last;
+    };
+    __m256 acc[B];
+    int t = 0;
+    if (kAccumulate) {
+#pragma GCC unroll 8
+        for (int j = 0; j < B; ++j) acc[j] = _mm256_loadu_ps(dst + at(j));
+    } else {
+        const __m256 c = _mm256_set1_ps(coeffs[0]);
+        const float* s = srcs[0] + so;
+#pragma GCC unroll 8
+        for (int j = 0; j < B; ++j) {
+            acc[j] = _mm256_mul_ps(c, _mm256_loadu_ps(s + at(j)));
+        }
+        t = 1;
+    }
+    for (; t < ntaps; ++t) {
+        const __m256 c = _mm256_set1_ps(coeffs[t]);
+        const float* s = srcs[t] + so;
+#pragma GCC unroll 8
+        for (int j = 0; j < B; ++j) {
+            acc[j] = _mm256_add_ps(acc[j],
+                                   _mm256_mul_ps(c, _mm256_loadu_ps(s + at(j))));
+        }
+    }
+#pragma GCC unroll 8
+    for (int j = 0; j < B - 1; ++j) _mm256_storeu_ps(dst + at(j), acc[j]);
+    if (kAccumulate && skip > 0) {
+        const __m256i keep = _mm256_cmpgt_epi32(
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            _mm256_set1_epi32(skip - 1));
+        _mm256_maskstore_ps(dst + last, keep, acc[B - 1]);
+    } else {
+        _mm256_storeu_ps(dst + last, acc[B - 1]);
+    }
+}
+
+/** One row of rows_avx2; the sources start at srcs[t] + so. */
+template <bool kAccumulate>
+__attribute__((target("avx2"))) inline void
+row_avx2(float* dst, const float* const* srcs, int64_t so,
+         const float* coeffs, int ntaps, int64_t len)
 {
     int64_t i = 0;
     for (; i + 64 <= len; i += 64) {
-        __m256 a0 = _mm256_loadu_ps(dst + i);
-        __m256 a1 = _mm256_loadu_ps(dst + i + 8);
-        __m256 a2 = _mm256_loadu_ps(dst + i + 16);
-        __m256 a3 = _mm256_loadu_ps(dst + i + 24);
-        __m256 a4 = _mm256_loadu_ps(dst + i + 32);
-        __m256 a5 = _mm256_loadu_ps(dst + i + 40);
-        __m256 a6 = _mm256_loadu_ps(dst + i + 48);
-        __m256 a7 = _mm256_loadu_ps(dst + i + 56);
-        for (int t = 0; t < ntaps; ++t) {
-            const __m256 c = _mm256_set1_ps(coeffs[t]);
-            const float* s = srcs[t] + i;
-            a0 = _mm256_add_ps(a0, _mm256_mul_ps(c, _mm256_loadu_ps(s)));
-            a1 = _mm256_add_ps(a1, _mm256_mul_ps(c, _mm256_loadu_ps(s + 8)));
-            a2 = _mm256_add_ps(a2, _mm256_mul_ps(c, _mm256_loadu_ps(s + 16)));
-            a3 = _mm256_add_ps(a3, _mm256_mul_ps(c, _mm256_loadu_ps(s + 24)));
-            a4 = _mm256_add_ps(a4, _mm256_mul_ps(c, _mm256_loadu_ps(s + 32)));
-            a5 = _mm256_add_ps(a5, _mm256_mul_ps(c, _mm256_loadu_ps(s + 40)));
-            a6 = _mm256_add_ps(a6, _mm256_mul_ps(c, _mm256_loadu_ps(s + 48)));
-            a7 = _mm256_add_ps(a7, _mm256_mul_ps(c, _mm256_loadu_ps(s + 56)));
-        }
-        _mm256_storeu_ps(dst + i, a0);
-        _mm256_storeu_ps(dst + i + 8, a1);
-        _mm256_storeu_ps(dst + i + 16, a2);
-        _mm256_storeu_ps(dst + i + 24, a3);
-        _mm256_storeu_ps(dst + i + 32, a4);
-        _mm256_storeu_ps(dst + i + 40, a5);
-        _mm256_storeu_ps(dst + i + 48, a6);
-        _mm256_storeu_ps(dst + i + 56, a7);
+        rows_tile_avx2<8, kAccumulate>(dst, srcs, so, coeffs, ntaps, i,
+                                       i + 56, 0);
     }
-    for (; i + 32 <= len; i += 32) {
-        __m256 a0 = _mm256_loadu_ps(dst + i);
-        __m256 a1 = _mm256_loadu_ps(dst + i + 8);
-        __m256 a2 = _mm256_loadu_ps(dst + i + 16);
-        __m256 a3 = _mm256_loadu_ps(dst + i + 24);
-        for (int t = 0; t < ntaps; ++t) {
-            const __m256 c = _mm256_set1_ps(coeffs[t]);
-            const float* s = srcs[t] + i;
-            a0 = _mm256_add_ps(a0, _mm256_mul_ps(c, _mm256_loadu_ps(s)));
-            a1 = _mm256_add_ps(a1, _mm256_mul_ps(c, _mm256_loadu_ps(s + 8)));
-            a2 = _mm256_add_ps(a2, _mm256_mul_ps(c, _mm256_loadu_ps(s + 16)));
-            a3 = _mm256_add_ps(a3, _mm256_mul_ps(c, _mm256_loadu_ps(s + 24)));
-        }
-        _mm256_storeu_ps(dst + i, a0);
-        _mm256_storeu_ps(dst + i + 8, a1);
-        _mm256_storeu_ps(dst + i + 16, a2);
-        _mm256_storeu_ps(dst + i + 24, a3);
+    if (i == len) return;
+    // The remainder as ONE tile: its full blocks plus the tail block.
+    const int full = static_cast<int>((len - i) / 8);
+    const int rem = static_cast<int>((len - i) % 8);
+    const int blocks = full + (rem > 0 ? 1 : 0);
+    const int64_t last = rem > 0 ? len - 8 : i + 8 * (full - 1);
+    const int skip = rem > 0 ? 8 - rem : 0;
+    switch (blocks) {
+#define RINGCNN_ROW_TILE(B)                                                  \
+    case B:                                                                  \
+        return rows_tile_avx2<B, kAccumulate>(dst, srcs, so, coeffs, ntaps, \
+                                              i, last, skip);
+        RINGCNN_ROW_TILE(1)
+        RINGCNN_ROW_TILE(2)
+        RINGCNN_ROW_TILE(3)
+        RINGCNN_ROW_TILE(4)
+        RINGCNN_ROW_TILE(5)
+        RINGCNN_ROW_TILE(6)
+        RINGCNN_ROW_TILE(7)
+        RINGCNN_ROW_TILE(8)
+#undef RINGCNN_ROW_TILE
     }
-    for (; i + 8 <= len; i += 8) {
-        __m256 acc = _mm256_loadu_ps(dst + i);
-        for (int t = 0; t < ntaps; ++t) {
-            acc = _mm256_add_ps(acc,
-                                _mm256_mul_ps(_mm256_set1_ps(coeffs[t]),
-                                              _mm256_loadu_ps(srcs[t] + i)));
-        }
-        _mm256_storeu_ps(dst + i, acc);
-    }
-    if (i < len) {
-        if (len >= 8) {
-            // Tail via ONE overlapping 8-wide block anchored at len-8:
-            // the lanes that were already accumulated by the main loop
-            // recompute garbage that is simply not stored; the true
-            // tail lanes see exactly the scalar op sequence. With many
-            // taps this replaces tail*ntaps scalar ops per row.
-            const int64_t base = len - 8;
-            __m256 acc = _mm256_loadu_ps(dst + base);
-            for (int t = 0; t < ntaps; ++t) {
-                acc = _mm256_add_ps(
-                    acc, _mm256_mul_ps(_mm256_set1_ps(coeffs[t]),
-                                       _mm256_loadu_ps(srcs[t] + base)));
-            }
-            float tmp[8];
-            _mm256_storeu_ps(tmp, acc);
-            for (; i < len; ++i) dst[i] = tmp[i - base];
+}
+
+template <bool kAccumulate>
+__attribute__((target("avx2"))) void
+rows_avx2(float* dst, const float* const* srcs, const float* coeffs,
+          int ntaps, int64_t len, int64_t rows, int64_t src_stride,
+          int64_t dst_stride)
+{
+    if (len < 8) {
+        if (kAccumulate) {
+            detail::axpy_rows_f32_generic(dst, srcs, coeffs, ntaps, len, rows,
+                                          src_stride, dst_stride);
         } else {
-            for (; i < len; ++i) {
-                float acc = dst[i];
-                for (int t = 0; t < ntaps; ++t) acc += coeffs[t] * srcs[t][i];
-                dst[i] = acc;
+            detail::matvec_rows_f32_generic(dst, srcs, coeffs, ntaps, len,
+                                            rows, src_stride, dst_stride);
+        }
+        return;
+    }
+    for (int64_t r = 0; r < rows; ++r) {
+        row_avx2<kAccumulate>(dst + r * dst_stride, srcs, r * src_stride,
+                              coeffs, ntaps, len);
+    }
+}
+
+/** True when Sylvester Hadamard entry H(k, j) = (-1)^popcount(k & j) is
+ *  negative. */
+constexpr bool
+hadamard_negative(int k, int j)
+{
+    return (__builtin_popcount(static_cast<unsigned>(k & j)) & 1) != 0;
+}
+
+/** True when the row-major n x n `m` is c * H_n (Sylvester order) for a
+ *  finite nonzero float c, which is stored to *c. */
+bool
+scaled_hadamard(const float* m, int n, float* c)
+{
+    const float c0 = m[0];
+    if (c0 == 0.0f || !std::isfinite(c0)) return false;
+    for (int k = 0; k < n; ++k) {
+        for (int j = 0; j < n; ++j) {
+            const float want = hadamard_negative(k, j) ? -c0 : c0;
+            if (m[k * n + j] != want) return false;
+        }
+    }
+    *c = c0;
+    return true;
+}
+
+/**
+ * y_k = m[k][0]*x_0 + m[k][1]*x_1 + ... for one 8-lane block of each
+ * x_j: the multiply first, then ascending-j adds. When m = c * H_n
+ * (kHadamard), every product m[k][j]*x_j is +-(c*x_j) exactly — rounding
+ * is sign-symmetric — and adding -(c*x_j) is subtracting c*x_j, so the
+ * n products are formed once and each row's chain adds or subtracts
+ * them in the same order; rows whose signs agree on a prefix share it.
+ * The values are those of the dense chain except that a NaN product
+ * may differ in sign: the callers only form chains over finite or
+ * +-Inf values, or rectify the result (which maps every NaN to +0).
+ */
+template <int N, bool kHadamard>
+__attribute__((target("avx2"))) inline void
+tuple_matvec_avx2(const __m256* x, __m256* y, const float* m, float c)
+{
+    if (kHadamard) {
+        const __m256 vc = _mm256_set1_ps(c);
+        __m256 p[N];
+#pragma GCC unroll 16
+        for (int j = 0; j < N; ++j) p[j] = _mm256_mul_ps(vc, x[j]);
+#pragma GCC unroll 16
+        for (int k = 0; k < N; ++k) {
+            __m256 acc = p[0];
+#pragma GCC unroll 16
+            for (int j = 1; j < N; ++j) {
+                acc = hadamard_negative(k, j) ? _mm256_sub_ps(acc, p[j])
+                                              : _mm256_add_ps(acc, p[j]);
             }
+            y[k] = acc;
+        }
+        return;
+    }
+#pragma GCC unroll 16
+    for (int k = 0; k < N; ++k) {
+        __m256 acc = _mm256_mul_ps(_mm256_set1_ps(m[k * N]), x[0]);
+#pragma GCC unroll 16
+        for (int j = 1; j < N; ++j) {
+            acc = _mm256_add_ps(
+                acc, _mm256_mul_ps(_mm256_set1_ps(m[k * N + j]), x[j]));
+        }
+        y[k] = acc;
+    }
+}
+
+/** One 8-column block of dir_relu_f32 on N-tuples; `lanes` < 8 runs
+ *  masked (maskload reads, and maskstore writes, only those lanes). */
+template <int N, bool kHadamard>
+__attribute__((target("avx2"))) inline void
+dir_relu_block_avx2(float* const* dst, const float* const* src,
+                    const float* u, const float* v, float cu, float cv,
+                    int64_t i, int lanes, uint8_t* const* mask)
+{
+    const __m256i live = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(lanes), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    __m256 x[N], t[N];
+#pragma GCC unroll 16
+    for (int j = 0; j < N; ++j) {
+        x[j] = lanes == 8 ? _mm256_loadu_ps(src[j] + i)
+                          : _mm256_maskload_ps(src[j] + i, live);
+    }
+    tuple_matvec_avx2<N, kHadamard>(x, t, v, cv);
+    const __m256 zero = _mm256_setzero_ps();
+#pragma GCC unroll 16
+    for (int k = 0; k < N; ++k) {
+        if (mask != nullptr) {
+            const int bits =
+                _mm256_movemask_ps(_mm256_cmp_ps(t[k], zero, _CMP_GT_OQ));
+            for (int l = 0; l < lanes; ++l) mask[k][i + l] = (bits >> l) & 1;
+        }
+        // max_ps(a, b) is a > b ? a : b — exactly the rectifier, with
+        // -0 and NaN lanes taking the +0 operand.
+        t[k] = _mm256_max_ps(t[k], zero);
+    }
+    tuple_matvec_avx2<N, kHadamard>(t, x, u, cu);
+#pragma GCC unroll 16
+    for (int k = 0; k < N; ++k) {
+        if (lanes == 8) {
+            _mm256_storeu_ps(dst[k] + i, x[k]);
+        } else {
+            _mm256_maskstore_ps(dst[k] + i, live, x[k]);
         }
     }
 }
 
+template <int N, bool kHadamard>
 __attribute__((target("avx2"))) void
-matvec_rows_avx2(float* dst, const float* const* srcs, const float* coeffs,
-                 int ntaps, int64_t len)
+dir_relu_avx2_run(float* const* dst, const float* const* src,
+                  const float* u, const float* v, float cu, float cv,
+                  int64_t len, uint8_t* const* mask)
 {
     int64_t i = 0;
     for (; i + 8 <= len; i += 8) {
-        __m256 acc = _mm256_mul_ps(_mm256_set1_ps(coeffs[0]),
-                                   _mm256_loadu_ps(srcs[0] + i));
-        for (int t = 1; t < ntaps; ++t) {
-            acc = _mm256_add_ps(acc,
-                                _mm256_mul_ps(_mm256_set1_ps(coeffs[t]),
-                                              _mm256_loadu_ps(srcs[t] + i)));
-        }
-        _mm256_storeu_ps(dst + i, acc);
+        dir_relu_block_avx2<N, kHadamard>(dst, src, u, v, cu, cv, i, 8, mask);
     }
     if (i < len) {
-        if (len >= 8) {
-            // Overwrite semantics read no dst lanes, so the whole
-            // overlapping block at len-8 can simply be stored: the
-            // overlapped lanes recompute the exact values the main
-            // loop already wrote (a pure function of the sources).
-            const int64_t base = len - 8;
-            __m256 acc = _mm256_mul_ps(_mm256_set1_ps(coeffs[0]),
-                                       _mm256_loadu_ps(srcs[0] + base));
-            for (int t = 1; t < ntaps; ++t) {
-                acc = _mm256_add_ps(
-                    acc, _mm256_mul_ps(_mm256_set1_ps(coeffs[t]),
-                                       _mm256_loadu_ps(srcs[t] + base)));
-            }
-            _mm256_storeu_ps(dst + base, acc);
-        } else {
-            for (; i < len; ++i) {
-                float acc = coeffs[0] * srcs[0][i];
-                for (int t = 1; t < ntaps; ++t) acc += coeffs[t] * srcs[t][i];
-                dst[i] = acc;
-            }
-        }
+        dir_relu_block_avx2<N, kHadamard>(dst, src, u, v, cu, cv, i,
+                                          static_cast<int>(len - i), mask);
+    }
+}
+
+// The fH transforms (V = H, U = H/n) take the shared-product chains.
+template <int N>
+__attribute__((target("avx2"))) void
+dir_relu_avx2_n(float* const* dst, const float* const* src, const float* u,
+                const float* v, int64_t len, uint8_t* const* mask)
+{
+    float cu = 0.0f, cv = 0.0f;
+    if (scaled_hadamard(u, N, &cu) && scaled_hadamard(v, N, &cv)) {
+        dir_relu_avx2_run<N, true>(dst, src, u, v, cu, cv, len, mask);
+    } else {
+        dir_relu_avx2_run<N, false>(dst, src, u, v, cu, cv, len, mask);
+    }
+}
+
+__attribute__((target("avx2"))) void
+dir_relu_avx2(float* const* dst, const float* const* src, int n,
+              const float* u, const float* v, int64_t len,
+              uint8_t* const* mask)
+{
+    switch (n) {
+    case 1: return dir_relu_avx2_n<1>(dst, src, u, v, len, mask);
+    case 2: return dir_relu_avx2_n<2>(dst, src, u, v, len, mask);
+    case 4: return dir_relu_avx2_n<4>(dst, src, u, v, len, mask);
+    case 8: return dir_relu_avx2_n<8>(dst, src, u, v, len, mask);
+    case 16: return dir_relu_avx2_n<16>(dst, src, u, v, len, mask);
+    default:
+        detail::dir_relu_f32_generic(dst, src, n, u, v, len, mask);
     }
 }
 
@@ -977,7 +1157,10 @@ using AxpyFn = void (*)(float*, const float*, float, int64_t);
 using DotFn = float (*)(const float*, const float*, int64_t);
 using SumFn = float (*)(const float*, int64_t);
 using RowsFn = void (*)(float*, const float* const*, const float*, int,
-                        int64_t);
+                        int64_t, int64_t, int64_t, int64_t);
+using DirF32Fn = void (*)(float* const*, const float* const*, int,
+                          const float*, const float*, int64_t,
+                          uint8_t* const*);
 using PlaneSumsFn = void (*)(const float*, int64_t, double*, double*);
 using MaxAbsDiffFn = float (*)(const float*, const float*, int64_t);
 using MaxAbsDiffI8Fn = int (*)(const int8_t*, const int8_t*, int64_t);
@@ -998,8 +1181,9 @@ struct Dispatch
     SumFn sum = sum_generic;
     SumFn asum = asum_generic;
     PlaneSumsFn plane_sums = plane_sums_generic;
-    RowsFn axpy_rows = axpy_rows_generic;
-    RowsFn matvec_rows = matvec_rows_generic;
+    RowsFn axpy_rows = detail::axpy_rows_f32_generic;
+    RowsFn matvec_rows = detail::matvec_rows_f32_generic;
+    DirF32Fn dir_f32 = detail::dir_relu_f32_generic;
     MaxAbsDiffFn max_abs_diff = max_abs_diff_f32_generic;
     MaxAbsDiffI8Fn max_abs_diff_i8 = max_abs_diff_i8_generic;
     MaddRowsFn madd_rows = detail::madd_rows_i16_generic;
@@ -1018,8 +1202,9 @@ struct Dispatch
             sum = sum_avx2;
             asum = asum_avx2;
             plane_sums = plane_sums_avx2;
-            axpy_rows = axpy_rows_avx2;
-            matvec_rows = matvec_rows_avx2;
+            axpy_rows = rows_avx2<true>;
+            matvec_rows = rows_avx2<false>;
+            dir_f32 = dir_relu_avx2;
             max_abs_diff = max_abs_diff_f32_avx2;
             max_abs_diff_i8 = max_abs_diff_i8_avx2;
             madd_rows = madd_rows_i16_avx2;
@@ -1099,17 +1284,28 @@ plane_sums_f32(const float* src, int64_t len, double* sum, double* asum)
 
 void
 axpy_rows_f32(float* dst, const float* const* srcs, const float* coeffs,
-              int ntaps, int64_t len)
+              int ntaps, int64_t len, int64_t rows, int64_t src_stride,
+              int64_t dst_stride)
 {
     if (ntaps <= 0) return;
-    dispatch().axpy_rows(dst, srcs, coeffs, ntaps, len);
+    dispatch().axpy_rows(dst, srcs, coeffs, ntaps, len, rows, src_stride,
+                         dst_stride);
 }
 
 void
 matvec_rows_f32(float* dst, const float* const* srcs, const float* coeffs,
-                int ntaps, int64_t len)
+                int ntaps, int64_t len, int64_t rows, int64_t src_stride,
+                int64_t dst_stride)
 {
-    dispatch().matvec_rows(dst, srcs, coeffs, ntaps, len);
+    dispatch().matvec_rows(dst, srcs, coeffs, ntaps, len, rows, src_stride,
+                           dst_stride);
+}
+
+void
+dir_relu_f32(float* const* dst, const float* const* src, int n,
+             const float* u, const float* v, int64_t len, uint8_t* const* mask)
+{
+    dispatch().dir_f32(dst, src, n, u, v, len, mask);
 }
 
 void

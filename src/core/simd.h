@@ -8,7 +8,8 @@
  *
  *   axpy_f32:  dst[i] += a * src[i]     (conv taps, reconstruction)
  *
- * and its fused multi-source forms (axpy_rows_f32, matvec_rows_f32).
+ * its fused multi-source forms (axpy_rows_f32, matvec_rows_f32), and
+ * the per-column directional ReLU of the fH epilogue (dir_relu_f32).
  * The training backward passes add two row *reductions* with a fixed
  * 8-lane accumulation contract (see dot_f32 below):
  *
@@ -35,8 +36,10 @@
  * Determinism: the float kernels perform one multiply and one add per
  * element in index order with no reassociation, and the AVX2 path
  * deliberately avoids FMA contraction, so every dispatch target
- * produces identical bits. The bit-exactness oracle against the seed
- * implementation additionally runs on the strict fp64 engine path.
+ * produces identical bits; the generic builds of the fp32 row and
+ * directional kernels are exposed in simd::detail so tests can pin
+ * that. The bit-exactness oracle against the seed implementation
+ * additionally runs on the strict fp64 engine path.
  *
  * The integer kernels compute in wrapping int32 lanes (the generic
  * builds go through uint32, matching AVX2's add/sub/shift lanes), so
@@ -164,23 +167,56 @@ void plane_sums_f32(const float* src, int64_t len, double* sum,
  * calls, but in ONE pass over dst. The conv band kernels use this to
  * accumulate every (ci, ky, kx) tap of an output row while the
  * accumulator stays in registers: per-tap axpy traffic (load dst + store
- * dst per tap) collapses to one load and one store per row, which is
- * where most of the fp32 FRCONV time went. Bit-identical to the
- * unfused call sequence on every dispatch target (elementwise mul+add,
- * no FMA, no reassociation). ntaps == 0 is a no-op.
+ * dst per tap) collapses to one load and one store per row. The AVX2
+ * build register-tiles up to 8 blocks of 8 columns per tap loop (the
+ * last block anchored at len-8 when 8 does not divide len), so each
+ * tap's broadcast feeds 8 independent add chains instead of one.
+ * Bit-identical to the unfused call sequence on every dispatch target
+ * (elementwise mul+add, no FMA, no reassociation). ntaps == 0 is a
+ * no-op.
  */
 void axpy_rows_f32(float* dst, const float* const* srcs,
-                   const float* coeffs, int ntaps, int64_t len);
+                   const float* coeffs, int ntaps, int64_t len,
+                   int64_t rows = 1, int64_t src_stride = 0,
+                   int64_t dst_stride = 0);
 
 /**
  * Overwriting variant: dst[i] = c[0]*srcs[0][i] + c[1]*srcs[1][i] + ...
  * in ascending term order — the per-element sequence of one multiply
- * followed by ntaps-1 axpy_f32 calls, fused into one pass. Requires
- * ntaps >= 1. The engine's input transforms and the n x n directional
- * epilogue matmuls use this shape.
+ * followed by ntaps-1 axpy_f32 calls, fused into one pass, with the same
+ * register tiling. Requires ntaps >= 1; dst must not alias a source. The
+ * engine's conv rows and input transforms use this shape.
+ *
+ * Both row kernels optionally run `rows` rows in one call: row r reads
+ * srcs[t] + r*src_stride and writes dst + r*dst_stride, exactly as
+ * `rows` single-row calls would (the conv band's interior rows share
+ * one tap table).
  */
 void matvec_rows_f32(float* dst, const float* const* srcs,
-                     const float* coeffs, int ntaps, int64_t len);
+                     const float* coeffs, int ntaps, int64_t len,
+                     int64_t rows = 1, int64_t src_stride = 0,
+                     int64_t dst_stride = 0);
+
+/**
+ * Directional ReLU over one n-tuple of rows (n <= 16), y = U fcw(V x):
+ * for each i in [0, len), with x_j = src[j][i],
+ *
+ *   t_k = v[k][0]*x_0 + v[k][1]*x_1 + ...   (multiply first, ascending j)
+ *   t_k = t_k > 0 ? t_k : +0                (so -0 and NaN give +0)
+ *   dst[k][i] = u[k][0]*t_0 + u[k][1]*t_1 + ...
+ *
+ * u and v are row-major n x n. Each column's n values stay in registers
+ * between the two products, so dst may alias src (the fused conv
+ * epilogue runs in place). When `mask` is non-null, mask[k][i] is set to
+ * 1 where t_k > 0 and 0 elsewhere (the training backward's gate).
+ * Identical bits on every dispatch target. When u and v are scalar
+ * multiples of the Sylvester Hadamard matrix (the fH pair), the AVX2
+ * build forms each product once and adds or subtracts it per row — the
+ * same operations on the same values, so the same bits.
+ */
+void dir_relu_f32(float* const* dst, const float* const* src, int n,
+                  const float* u, const float* v, int64_t len,
+                  uint8_t* const* mask);
 
 /**
  * Paired-tap int16 conv row: for each i in [0, len),
@@ -245,8 +281,20 @@ void quantize_f32_i16(int16_t* dst, const float* src, int64_t len, int frac,
                       int bits);
 
 namespace detail {
-// The portable builds of the integer kernels above (the dispatch
-// fallback), exposed so tests can pin the vector builds against them.
+// The portable builds of the row and integer kernels above (the
+// dispatch fallback), exposed so tests can pin the vector builds
+// against them.
+void axpy_rows_f32_generic(float* dst, const float* const* srcs,
+                           const float* coeffs, int ntaps, int64_t len,
+                           int64_t rows, int64_t src_stride,
+                           int64_t dst_stride);
+void matvec_rows_f32_generic(float* dst, const float* const* srcs,
+                             const float* coeffs, int ntaps, int64_t len,
+                             int64_t rows, int64_t src_stride,
+                             int64_t dst_stride);
+void dir_relu_f32_generic(float* const* dst, const float* const* src, int n,
+                          const float* u, const float* v, int64_t len,
+                          uint8_t* const* mask);
 void madd_rows_i16_generic(int32_t* dst, const int16_t* src,
                            const int64_t* offsets, const int16_t* coeffs,
                            int ntaps, int64_t len);

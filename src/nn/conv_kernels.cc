@@ -471,14 +471,14 @@ namespace {
 
 constexpr int kMaxTuple = 16;
 
-/** Float copies of the n x n transform and its transpose. */
+/** Float copy of the n x n transform, or of its transpose. */
 void
-to_float(const Matd& m, int n, float* dst, float* dst_t)
+to_float(const Matd& m, int n, float* dst, bool transpose)
 {
     for (int i = 0; i < n; ++i) {
         for (int j = 0; j < n; ++j) {
-            dst[i * n + j] = static_cast<float>(m.at(i, j));
-            dst_t[i * n + j] = static_cast<float>(m.at(j, i));
+            dst[i * n + j] =
+                static_cast<float>(transpose ? m.at(j, i) : m.at(i, j));
         }
     }
 }
@@ -489,72 +489,36 @@ void
 directional_relu_forward(const Tensor& x, const Matd& u, const Matd& v,
                          Tensor& out, std::vector<uint8_t>* mask)
 {
-    // Per calling thread (see header): callers may run concurrently on
-    // distinct layers/images; the nested parallel_for_worker below
-    // captures THIS thread's buffer and bands it per worker.
-    static thread_local std::vector<float> tl_scratch;
-    std::vector<float>& scratch = tl_scratch;
     const int n = v.cols();
     const int c = x.dim(0), h = x.dim(1), w = x.dim(2);
     RINGCNN_CHECK(n <= kMaxTuple && c % n == 0,
                   "directional ReLU tuple mismatch");
     out.reset(x.shape());
     if (mask != nullptr) mask->assign(static_cast<size_t>(x.numel()), 0);
-    float uf[kMaxTuple * kMaxTuple], uft[kMaxTuple * kMaxTuple];
-    float vf[kMaxTuple * kMaxTuple], vft[kMaxTuple * kMaxTuple];
-    to_float(u, n, uf, uft);
-    to_float(v, n, vf, vft);
+    float uf[kMaxTuple * kMaxTuple], vf[kMaxTuple * kMaxTuple];
+    to_float(u, n, uf, false);
+    to_float(v, n, vf, false);
 
-    const TrainKernelOptions& opts = train_kernel_options();
-    const int workers = util::resolve_threads(opts.threads);
-    const size_t band = static_cast<size_t>(n) * w;
-    if (scratch.size() < static_cast<size_t>(workers) * band) {
-        scratch.resize(static_cast<size_t>(workers) * band);
-    }
-
-    // One task per tuple: V and U become n^2 fused row passes over the
-    // tuple's rows; the rectifier (and its training mask) applies to
-    // the V image while it is hot in the per-worker row band.
-    util::parallel_for_worker(
+    // One task per tuple: its n planes are one simd::dir_relu_f32 pass,
+    // the kernel the engine's fused epilogue runs — so fused and unfused
+    // plans agree bit for bit.
+    const int64_t plane = static_cast<int64_t>(h) * w;
+    util::parallel_for(
         c / n,
-        [&](int worker, int64_t t) {
-            float* rows_v = scratch.data() + static_cast<size_t>(worker) * band;
-            const float* srcs[kMaxTuple];
-            const float* vsrcs[kMaxTuple];
-            for (int i = 0; i < n; ++i) {
-                vsrcs[i] = rows_v + static_cast<size_t>(i) * w;
+        [&](int64_t t) {
+            const float* src[kMaxTuple];
+            float* dst[kMaxTuple];
+            uint8_t* gate[kMaxTuple];
+            for (int j = 0; j < n; ++j) {
+                const int64_t at = (t * n + j) * plane;
+                src[j] = x.data() + at;
+                dst[j] = out.data() + at;
+                gate[j] = mask != nullptr ? mask->data() + at : nullptr;
             }
-            for (int y = 0; y < h; ++y) {
-                for (int j = 0; j < n; ++j) {
-                    srcs[j] = x.data() +
-                              (static_cast<int64_t>(t * n + j) * h + y) * w;
-                }
-                for (int i = 0; i < n; ++i) {
-                    float* ti = rows_v + static_cast<size_t>(i) * w;
-                    simd::matvec_rows_f32(ti, srcs, vf + i * n, n, w);
-                    if (mask != nullptr) {
-                        uint8_t* mrow =
-                            mask->data() +
-                            (static_cast<int64_t>(t * n + i) * h + y) * w;
-                        for (int xx = 0; xx < w; ++xx) {
-                            const bool pos = ti[xx] > 0.0f;
-                            mrow[xx] = pos ? 1 : 0;
-                            if (!pos) ti[xx] = 0.0f;
-                        }
-                    } else {
-                        for (int xx = 0; xx < w; ++xx) {
-                            ti[xx] = ti[xx] > 0.0f ? ti[xx] : 0.0f;
-                        }
-                    }
-                }
-                for (int i = 0; i < n; ++i) {
-                    float* orow = out.data() +
-                        (static_cast<int64_t>(t * n + i) * h + y) * w;
-                    simd::matvec_rows_f32(orow, vsrcs, uf + i * n, n, w);
-                }
-            }
+            simd::dir_relu_f32(dst, src, n, uf, vf, plane,
+                               mask != nullptr ? gate : nullptr);
         },
-        opts.threads);
+        train_kernel_options().threads);
 }
 
 void
@@ -571,10 +535,9 @@ directional_relu_backward(const Tensor& grad_out, const Matd& u,
     RINGCNN_CHECK(mask.size() == static_cast<size_t>(grad_out.numel()),
                   "directional ReLU backward needs the forward's mask");
     grad.reset(grad_out.shape());
-    float uf[kMaxTuple * kMaxTuple], uft[kMaxTuple * kMaxTuple];
-    float vf[kMaxTuple * kMaxTuple], vft[kMaxTuple * kMaxTuple];
-    to_float(u, n, uf, uft);
-    to_float(v, n, vf, vft);
+    float uft[kMaxTuple * kMaxTuple], vft[kMaxTuple * kMaxTuple];
+    to_float(u, n, uft, true);
+    to_float(v, n, vft, true);
 
     const TrainKernelOptions& opts = train_kernel_options();
     const int workers = util::resolve_threads(opts.threads);

@@ -116,25 +116,19 @@ void conv2d_backward_weights(const Tensor& x, const Tensor& grad_out,
                              const uint8_t* pair_mask = nullptr);
 
 /**
- * Training-side directional ReLU forward, y -> U fcw(V y) per n-tuple
- * (Section III-E), as float row kernels: per tuple row, V and U become
- * n^2 fused row passes (simd::matvec_rows_f32) instead of a per-pixel
- * double-precision matvec pair — the inference-side engine-epilogue
- * form, ported to the Layer training path (~1/3 of an RI4 train step
- * ran through the scalar loops before). Tuple-parallel on the pool
- * with a fixed per-element order, so results are bit-deterministic
- * under every thread count; vs the seed path they differ by float
- * rounding (see TrainKernelOptions::strict_directional).
- *
- * Row scratch lives in thread-local storage sized once per calling
- * thread, so concurrent calls from independent threads (e.g. the
- * executor's run_layer fanning a calibration batch across the pool)
- * never share state; nested fan-out inside one call still hands each
- * pool worker its own band of the caller's buffer.
+ * Directional ReLU forward, y -> U fcw(V y) per n-tuple (Section
+ * III-E): the training forward and the executor's unfused step. Each
+ * tuple's n planes run through simd::dir_relu_f32, the kernel the
+ * engine's fused fH epilogue uses, so fused and unfused plans agree bit
+ * for bit. Tuple-parallel on the pool with a fixed per-element order,
+ * so results are bit-deterministic under every thread count; vs the
+ * seed path they differ by float rounding (see
+ * TrainKernelOptions::strict_directional). Keeps no scratch, so
+ * concurrent calls from independent threads share no state.
  *
  * @param u,v   n x n transforms (n = v.cols()); C % n == 0.
  * @param out   overwritten ([C][H][W], reset by the callee). May alias
- *        x — rows are consumed before they are rewritten.
+ *        x — each column is read before it is rewritten.
  * @param mask  when non-null, resized to numel and set to 1 where the
  *        rectifier passed (same flat layout the seed backward uses).
  */
@@ -143,8 +137,12 @@ void directional_relu_forward(const Tensor& x, const Matd& u, const Matd& v,
 
 /**
  * Matching backward: grad = V^T masked(U^T grad_out) per n-tuple, as
- * float row kernels over the forward's rectification mask. Same
- * determinism and scratch contracts as the forward.
+ * float row kernels (simd::matvec_rows_f32) over the forward's
+ * rectification mask, with the forward's determinism. Row scratch lives
+ * in thread-local storage sized once per calling thread, so concurrent
+ * calls from independent threads never share state; nested fan-out
+ * inside one call hands each pool worker its own band of the caller's
+ * buffer.
  */
 void directional_relu_backward(const Tensor& grad_out, const Matd& u,
                                const Matd& v,

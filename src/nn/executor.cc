@@ -33,11 +33,11 @@ relu_into(const Tensor& x, Tensor& out)
 }
 
 // The unfused DirectionalReLU fallback (a directional ReLU the fusion
-// pass could not fold into a conv epilogue) runs the shared
-// nn::directional_relu_forward row kernels — the same per-element
-// ascending-j multiply/add order as the band-fused form in
-// RingConvEngine::conv_band_f32_fused, so fusion never changes a bit; the
-// double-precision reference lives in core/ring_conv.cc.
+// pass could not fold into a conv epilogue) runs
+// nn::directional_relu_forward — the same simd::dir_relu_f32 kernel as
+// the band-fused epilogue in RingConvEngine::conv_band_f32, so fusion
+// never changes a bit; the double-precision reference lives in
+// core/ring_conv.cc.
 
 /** IR ops carry the originating layer as const void* (the IR never
  *  dereferences it); the fp32 lowering is the owner-side cast back. */
@@ -50,15 +50,13 @@ layer_of(const plan::OpIR& op)
 
 }  // namespace
 
-/** One compiled ring-conv step: the engine plus its plan-owned scratch
- *  (transform buffers, per-worker band accumulators) and the weight
- *  version it was last synced at. */
+/** One compiled ring-conv step: the engine and the weight version it
+ *  was last synced at. */
 struct ModelExecutor::EngineRec
 {
     std::unique_ptr<RingConvEngine> engine;
     RingConv2d* layer = nullptr;
     uint64_t seen_version = 0;
-    RingConvScratch scratch;
     std::vector<const Tensor*> in_ptrs;  ///< reused batch pointer array
 
     /** ABFT state (verify_checksums only). The checksum is recomputed
@@ -168,7 +166,7 @@ ModelExecutor::lower_ringconv(const plan::OpIR& op)
         if (!opt_.verify_checksums || r.checksum == nullptr) {
             r.engine->run_into(r.in_ptrs.data(),
                                slots_[static_cast<size_t>(out)].data(),
-                               batch, &r.scratch);
+                               batch, &conv_scratch_);
             return;
         }
         // ABFT: shifted-window input sums first (the input slot may be
@@ -187,7 +185,7 @@ ModelExecutor::lower_ringconv(const plan::OpIR& op)
         }
         r.engine->run_into(r.in_ptrs.data(),
                            slots_[static_cast<size_t>(out)].data(), batch,
-                           &r.scratch, &r.out_sums);
+                           &conv_scratch_, &r.out_sums);
         for (int b = 0; b < batch; ++b) {
             const Tensor& y =
                 slots_[static_cast<size_t>(out)][static_cast<size_t>(b)];

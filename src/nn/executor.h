@@ -9,9 +9,9 @@
  * assignment) and lowers the resulting IR to fp32 kernels:
  *
  *  - every RingConv2d gets its own RingConvEngine (fp32 SIMD kernels
- *    by default) with a per-step RingConvScratch owned by the plan,
- *    so transform buffers and per-worker band accumulators are reused
- *    across calls;
+ *    by default); all engine steps share one RingConvScratch owned by
+ *    the executor, so transform buffers, per-worker staged input bands
+ *    and band accumulators are reused across steps and calls;
  *  - a ReLU or DirectionalReLU the fusion pass attached to a ring conv
  *    runs in that engine's output pass (ConvEpilogue), so the
  *    activation never round-trips through memory; a ReLU after a dense
@@ -207,6 +207,9 @@ class ModelExecutor
     /** Linear plan; each step processes the whole current batch. */
     std::vector<std::function<void(int)>> steps_;
     std::vector<std::unique_ptr<EngineRec>> engines_;
+    /** Scratch of every engine step (steps run one at a time); kept
+     *  across rebinds like the arena. */
+    RingConvScratch conv_scratch_;
     int batch_capacity_ = 0;
     int fused_real_convs_ = 0;
     int fallback_steps_ = 0;

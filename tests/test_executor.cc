@@ -80,6 +80,37 @@ TEST(ModelExecutor, MatchesLayerWalkWithDirectionalFusion)
     EXPECT_LE(exec.slot_count(), 6);
 }
 
+TEST(ModelExecutor, DirectionalFusionBitIdenticalToUnfusedAndLayerWalk)
+{
+    // The fused fH epilogue and the unfused DirectionalReLU step run the
+    // same simd::dir_relu_f32 kernel, so fusing never moves a bit — on
+    // odd shapes (whose rows end in partial 8-column blocks) and under
+    // any thread count.
+    for (const char* ring : {"RI2", "RI4", "RI8", "RH4"}) {
+        const models::Algebra alg = models::Algebra::with_fh(ring);
+        nn::Model model = models::build_dn_ernet_pu(alg, small_cfg());
+        std::mt19937 rng(49);
+        Tensor x({3, 34, 46});
+        x.rand_uniform(rng, -0.5f, 1.0f);
+        const Tensor ref = model.forward(x, false);
+        for (const int threads : {1, 3}) {
+            for (const bool fuse : {true, false}) {
+                nn::ExecutorOptions eo;
+                eo.threads = threads;
+                eo.fuse_epilogues = fuse;
+                nn::ModelExecutor exec(model, x.shape(), eo);
+                const Tensor got = exec.run(x);
+                ASSERT_EQ(got.shape(), ref.shape());
+                for (int64_t i = 0; i < ref.numel(); ++i) {
+                    ASSERT_EQ(got[i], ref[i])
+                        << ring << " threads=" << threads
+                        << " fuse=" << fuse << " flat " << i;
+                }
+            }
+        }
+    }
+}
+
 TEST(ModelExecutor, FusesConv2dReluOnRealBaselines)
 {
     // n=1 real-algebra models: every Conv2d followed by a ReLU must

@@ -13,11 +13,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
 
 #include "core/ring_conv_engine.h"
+#include "core/simd.h"
 #include "nn/layer.h"
 #include "tensor/image_ops.h"
 
@@ -428,6 +431,464 @@ TEST(RingConvEngine, FusedEpiloguesMatchSeparateApplication)
     RingConvEngine se(ring, w, bias, strict);
     EXPECT_THROW(se.set_epilogue(ConvEpilogue::kRelu),
                  std::invalid_argument);
+}
+
+
+// ---- fp32 row kernels: generic vs dispatched ------------------------------
+
+/** Mostly unit-scale normals, with +-0, subnormals, +-Inf and NaN mixed
+ *  in rarely enough that most outputs stay finite. */
+float
+kernel_operand(std::mt19937& rng)
+{
+    std::uniform_int_distribution<int> pick(0, 63);
+    std::normal_distribution<float> d(0.0f, 1.0f);
+    switch (pick(rng)) {
+    case 0: return 0.0f;
+    case 1: return -0.0f;
+    case 2: return 3.0e-40f;   // subnormal
+    case 3: return -1.0e-42f;  // subnormal
+    case 4: return std::numeric_limits<float>::infinity();
+    case 5: return -std::numeric_limits<float>::infinity();
+    case 6: return std::numeric_limits<float>::quiet_NaN();
+    default: return d(rng);
+    }
+}
+
+/** Equal bits, or NaN on both sides. */
+bool
+same_float(float a, float b)
+{
+    if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+    uint32_t ua, ub;
+    std::memcpy(&ua, &a, sizeof ua);
+    std::memcpy(&ub, &b, sizeof ub);
+    return ua == ub;
+}
+
+TEST(SimdF32Rows, GenericAndDispatchedAgreeBitForBit)
+{
+    std::mt19937 rng(2016);
+    std::vector<int64_t> lens;
+    for (int64_t l = 1; l <= 17; ++l) lens.push_back(l);
+    for (int64_t l = 55; l <= 66; ++l) lens.push_back(l);
+    for (int64_t l = 120; l <= 130; ++l) lens.push_back(l);
+    for (const int64_t len : lens) {
+        for (const int ntaps : {1, 2, 4, 27, 72, 96, 97}) {
+            // One and three rows per call; the sources sit at random
+            // offsets of one buffer, so loads are unaligned and sources
+            // overlap.
+            constexpr int64_t kRows = 3;
+            const int64_t src_stride = len + 3, dst_stride = len + 5;
+            std::vector<float> pool(static_cast<size_t>(
+                (ntaps + 1) * (kRows * src_stride + 7)));
+            for (float& v : pool) v = kernel_operand(rng);
+            std::vector<const float*> srcs(static_cast<size_t>(ntaps));
+            std::vector<float> coeffs(static_cast<size_t>(ntaps));
+            std::uniform_int_distribution<int64_t> at(
+                0, static_cast<int64_t>(pool.size()) -
+                       kRows * src_stride - 1);
+            for (int t = 0; t < ntaps; ++t) {
+                srcs[static_cast<size_t>(t)] = pool.data() + at(rng);
+                coeffs[static_cast<size_t>(t)] = kernel_operand(rng);
+            }
+            std::vector<float> init(static_cast<size_t>(kRows * dst_stride));
+            for (float& v : init) v = kernel_operand(rng);
+            for (const int64_t rows : {int64_t{1}, kRows}) {
+                for (const bool accumulate : {false, true}) {
+                    std::vector<float> g = init, d = init;
+                    if (accumulate) {
+                        simd::detail::axpy_rows_f32_generic(
+                            g.data(), srcs.data(), coeffs.data(), ntaps, len,
+                            rows, src_stride, dst_stride);
+                        simd::axpy_rows_f32(d.data(), srcs.data(),
+                                            coeffs.data(), ntaps, len, rows,
+                                            src_stride, dst_stride);
+                    } else {
+                        simd::detail::matvec_rows_f32_generic(
+                            g.data(), srcs.data(), coeffs.data(), ntaps, len,
+                            rows, src_stride, dst_stride);
+                        simd::matvec_rows_f32(d.data(), srcs.data(),
+                                              coeffs.data(), ntaps, len, rows,
+                                              src_stride, dst_stride);
+                    }
+                    // Lanes outside the rows must be left untouched too.
+                    for (size_t i = 0; i < g.size(); ++i) {
+                        ASSERT_TRUE(same_float(g[i], d[i]))
+                            << simd::active_isa() << " len=" << len
+                            << " taps=" << ntaps << " rows=" << rows
+                            << " accumulate=" << accumulate << " at " << i
+                            << ": " << g[i] << " vs " << d[i];
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdF32Rows, DirectionalGenericAndDispatchedAgreeBitForBit)
+{
+    std::mt19937 rng(2017);
+    std::normal_distribution<float> d(0.0f, 0.6f);
+    std::vector<int64_t> lens;
+    for (int64_t l = 1; l <= 17; ++l) lens.push_back(l);
+    for (int64_t l = 55; l <= 66; ++l) lens.push_back(l);
+    for (int64_t l = 120; l <= 130; ++l) lens.push_back(l);
+    for (const int n : {1, 2, 3, 4, 8, 16}) {
+        // Dense random transforms (the general path), fH (the
+        // scaled-Hadamard path) and fO4 at n = 4.
+        const auto flat = [n](const Matd& m) {
+            std::vector<float> f(static_cast<size_t>(n) * n);
+            for (int i = 0; i < n; ++i) {
+                for (int j = 0; j < n; ++j) {
+                    f[static_cast<size_t>(i) * n + j] =
+                        static_cast<float>(m.at(i, j));
+                }
+            }
+            return f;
+        };
+        std::vector<float> ur(static_cast<size_t>(n) * n),
+            vr(static_cast<size_t>(n) * n);
+        for (float& v : ur) v = d(rng);
+        for (float& v : vr) v = d(rng);
+        std::vector<std::vector<float>> us = {ur}, vs = {vr};
+        if ((n & (n - 1)) == 0) {
+            const auto [u, v] = fh_transforms(n);
+            us.push_back(flat(u));
+            vs.push_back(flat(v));
+        }
+        if (n == 4) {
+            const auto [u, v] = fo4_transforms();
+            us.push_back(flat(u));
+            vs.push_back(flat(v));
+        }
+        for (size_t tf = 0; tf < us.size(); ++tf) {
+            for (const int64_t len : lens) {
+                std::vector<std::vector<float>> x(static_cast<size_t>(n));
+                for (auto& row : x) {
+                    row.resize(static_cast<size_t>(len));
+                    for (float& v : row) v = kernel_operand(rng);
+                }
+                for (const bool with_mask : {false, true}) {
+                    for (const bool in_place : {false, true}) {
+                        std::vector<std::vector<float>> og = x, od = x;
+                        std::vector<std::vector<uint8_t>> mg(
+                            static_cast<size_t>(n),
+                            std::vector<uint8_t>(static_cast<size_t>(len), 7));
+                        auto md = mg;
+                        std::vector<std::vector<float>> yg(
+                            static_cast<size_t>(n),
+                            std::vector<float>(static_cast<size_t>(len), 9.0f));
+                        auto yd = yg;
+                        std::vector<const float*> sg, sd;
+                        std::vector<float*> dg, dd;
+                        std::vector<uint8_t*> kg, kd;
+                        for (int j = 0; j < n; ++j) {
+                            const size_t J = static_cast<size_t>(j);
+                            sg.push_back(og[J].data());
+                            sd.push_back(od[J].data());
+                            dg.push_back(in_place ? og[J].data()
+                                                  : yg[J].data());
+                            dd.push_back(in_place ? od[J].data()
+                                                  : yd[J].data());
+                            kg.push_back(mg[J].data());
+                            kd.push_back(md[J].data());
+                        }
+                        simd::detail::dir_relu_f32_generic(
+                            dg.data(), sg.data(), n, us[tf].data(),
+                            vs[tf].data(), len,
+                            with_mask ? kg.data() : nullptr);
+                        simd::dir_relu_f32(dd.data(), sd.data(), n,
+                                           us[tf].data(), vs[tf].data(), len,
+                                           with_mask ? kd.data() : nullptr);
+                        for (int j = 0; j < n; ++j) {
+                            const size_t J = static_cast<size_t>(j);
+                            for (int64_t i = 0; i < len; ++i) {
+                                const size_t I = static_cast<size_t>(i);
+                                const float a = in_place ? og[J][I] : yg[J][I];
+                                const float b = in_place ? od[J][I] : yd[J][I];
+                                ASSERT_TRUE(same_float(a, b))
+                                    << simd::active_isa() << " n=" << n
+                                    << " transform " << tf << " len=" << len
+                                    << " in_place=" << in_place << " row " << j
+                                    << " col " << i << ": " << a << " vs " << b;
+                                ASSERT_EQ(mg[J][I], md[J][I])
+                                    << "mask n=" << n << " transform " << tf
+                                    << " len=" << len << " row " << j
+                                    << " col " << i;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+// ---- fp32 band pass vs a scalar oracle, float == -------------------------
+
+/**
+ * The fp32 band pass's arithmetic, written out per output value for the
+ * rings whose Tx and Tz are the identity (RI2, RI4, RI8): component r of
+ * output tuple co convolves component r of every input tuple. The
+ * transformed taps are the engine's (a double sum over Tg, cast to
+ * float; exactly-zero taps dropped), taken in compiled (ci, ky, kx)
+ * order, a tap whose row leaves the image skipped. Where every tap of
+ * the row falls inside the image the accumulator starts from the first
+ * product; elsewhere it starts from +0 and skips the taps that fall
+ * outside. Then the bias add (only when some bias is nonzero), then the
+ * ReLU or the directional ReLU (V products, rectify, U products, each
+ * multiply then ascending adds) — the pre-epilogue value is returned
+ * too.
+ */
+struct BandOracle
+{
+    Tensor conv, relu, dir;
+};
+
+BandOracle
+band_pass_oracle(const Ring& ring, const Tensor& x, const RingConvWeights& w,
+                 const std::vector<float>& bias, const Matd& u, const Matd& v)
+{
+    const int n = ring.n, k = w.k, pad = k / 2;
+    const int h = x.dim(1), wd = x.dim(2);
+    std::vector<float> gt(static_cast<size_t>(w.co_t) * n * w.ci_t * k * k);
+    const auto gt_at = [&](int co, int r, int ci, int ky, int kx) -> float& {
+        return gt[(((static_cast<size_t>(co) * n + r) * w.ci_t + ci) * k + ky) *
+                      k + kx];
+    };
+    for (int co = 0; co < w.co_t; ++co) {
+        for (int r = 0; r < n; ++r) {
+            for (int ci = 0; ci < w.ci_t; ++ci) {
+                for (int ky = 0; ky < k; ++ky) {
+                    for (int kx = 0; kx < k; ++kx) {
+                        double acc = 0.0;
+                        for (int q = 0; q < n; ++q) {
+                            acc += ring.fast.tg.at(r, q) *
+                                   w.at(co, ci, ky, kx, q);
+                        }
+                        gt_at(co, r, ci, ky, kx) = static_cast<float>(acc);
+                    }
+                }
+            }
+        }
+    }
+    bool bias_zero = true;
+    for (const float b : bias) bias_zero = bias_zero && b == 0.0f;
+
+    BandOracle o;
+    o.conv = Tensor({w.co_t * n, h, wd});
+    struct Tap
+    {
+        int ci, ky, kx;
+        float w;
+    };
+    std::vector<Tap> taps;
+    for (int co = 0; co < w.co_t; ++co) {
+        for (int r = 0; r < n; ++r) {
+            for (int y = 0; y < h; ++y) {
+                taps.clear();
+                int lx = 0, rx = wd;
+                for (int ci = 0; ci < w.ci_t; ++ci) {
+                    for (int ky = 0; ky < k; ++ky) {
+                        for (int kx = 0; kx < k; ++kx) {
+                            const float g = gt_at(co, r, ci, ky, kx);
+                            const int yy = y + ky - pad;
+                            if (g == 0.0f || yy < 0 || yy >= h) continue;
+                            taps.push_back({ci, ky, kx, g});
+                            lx = std::max(lx, pad - kx);
+                            rx = std::min(rx, wd + pad - kx);
+                        }
+                    }
+                }
+                const float b = bias.empty()
+                                    ? 0.0f
+                                    : bias[static_cast<size_t>(co * n + r)];
+                for (int xx = 0; xx < wd; ++xx) {
+                    const auto term = [&](const Tap& t) {
+                        return t.w * x.at(t.ci * n + r, y + t.ky - pad,
+                                          xx + t.kx - pad);
+                    };
+                    float acc = 0.0f;
+                    if (!taps.empty() && xx >= lx && xx < rx) {
+                        acc = term(taps[0]);
+                        for (size_t t = 1; t < taps.size(); ++t) {
+                            acc += term(taps[t]);
+                        }
+                    } else {
+                        for (const Tap& t : taps) {
+                            const int ix = xx + t.kx - pad;
+                            if (ix >= 0 && ix < wd) acc += term(t);
+                        }
+                    }
+                    if (!bias_zero) acc = b + acc;
+                    o.conv.at(co * n + r, y, xx) = acc;
+                }
+            }
+        }
+    }
+
+    o.relu = o.conv;
+    for (int64_t i = 0; i < o.relu.numel(); ++i) {
+        o.relu[i] = o.relu[i] > 0.0f ? o.relu[i] : 0.0f;
+    }
+    o.dir = o.conv;
+    std::vector<float> uf(static_cast<size_t>(n) * n),
+        vf(static_cast<size_t>(n) * n);
+    for (int i = 0; i < n; ++i) {
+        for (int j = 0; j < n; ++j) {
+            uf[static_cast<size_t>(i) * n + j] = static_cast<float>(u.at(i, j));
+            vf[static_cast<size_t>(i) * n + j] = static_cast<float>(v.at(i, j));
+        }
+    }
+    std::vector<float> in(static_cast<size_t>(n)), t(static_cast<size_t>(n));
+    for (int co = 0; co < w.co_t; ++co) {
+        for (int y = 0; y < h; ++y) {
+            for (int xx = 0; xx < wd; ++xx) {
+                for (int j = 0; j < n; ++j) {
+                    in[static_cast<size_t>(j)] = o.conv.at(co * n + j, y, xx);
+                }
+                for (int i = 0; i < n; ++i) {
+                    const float* vi = vf.data() + static_cast<size_t>(i) * n;
+                    float acc = vi[0] * in[0];
+                    for (int j = 1; j < n; ++j) {
+                        acc += vi[j] * in[static_cast<size_t>(j)];
+                    }
+                    t[static_cast<size_t>(i)] = acc > 0.0f ? acc : 0.0f;
+                }
+                for (int i = 0; i < n; ++i) {
+                    const float* ui = uf.data() + static_cast<size_t>(i) * n;
+                    float acc = ui[0] * t[0];
+                    for (int j = 1; j < n; ++j) {
+                        acc += ui[j] * t[static_cast<size_t>(j)];
+                    }
+                    o.dir.at(co * n + i, y, xx) = acc;
+                }
+            }
+        }
+    }
+    return o;
+}
+
+TEST(EngineBandOracle, IdentityTransformRingsMatchScalarOracleExactly)
+{
+    std::mt19937 rng(2018);
+    std::normal_distribution<float> d(0.0f, 1.0f);
+    std::uniform_int_distribution<int> pick(0, 9);
+    // Many exact zeros of both signs: sums of zero products are where
+    // the accumulator's start (first product or +0) shows in the sign.
+    const auto operand = [&]() {
+        const int p = pick(rng);
+        return p < 3 ? 0.0f : p < 5 ? -0.0f : d(rng);
+    };
+    constexpr int kCo = 3, kCi = 3, kBatch = 4;
+    const int widths[] = {1, 2, 7, 8, 9, 15, 16, 17, 62, 63, 64, 65, 130};
+    const int heights[] = {1, 2, 3, 17};
+    for (const char* name : {"RI2", "RI4", "RI8"}) {
+        const Ring& ring = get_ring(name);
+        const int n = ring.n;
+        for (int i = 0; i < n; ++i) {
+            for (int j = 0; j < n; ++j) {
+                ASSERT_EQ(ring.fast.tx.at(i, j), i == j ? 1.0 : 0.0) << name;
+                ASSERT_EQ(ring.fast.tz.at(i, j), i == j ? 1.0 : 0.0) << name;
+            }
+        }
+        const auto [u, v] = fh_transforms(n);
+        for (const int k : {1, 3}) {
+            for (const bool pruned : {false, true}) {
+                RingConvWeights w(kCo, kCi, k, n);
+                for (float& val : w.w) val = 0.5f * d(rng);
+                if (pruned) {
+                    // Ring-DOF pruning zeroes whole tuples. Tuple 0 loses
+                    // every kx = 0 tap and tuple 1 every kx = k-1 tap, so
+                    // lx and rx move; half the rest go at random.
+                    for (int co = 0; co < kCo; ++co) {
+                        for (int ci = 0; ci < kCi; ++ci) {
+                            for (int ky = 0; ky < k; ++ky) {
+                                for (int kx = 0; kx < k; ++kx) {
+                                    const bool drop =
+                                        (co == 0 && kx == 0) ||
+                                        (co == 1 && kx == k - 1) ||
+                                        pick(rng) < 5;
+                                    if (!drop) continue;
+                                    for (int q = 0; q < n; ++q) {
+                                        w.at(co, ci, ky, kx, q) = 0.0f;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+                for (const bool with_bias : {false, true}) {
+                    // The zero bias includes -0 entries: every bias that
+                    // compares equal to 0 skips the add.
+                    std::vector<float> bias(static_cast<size_t>(kCo * n));
+                    for (size_t i = 0; i < bias.size(); ++i) {
+                        bias[i] = with_bias ? 0.1f * d(rng)
+                                            : (i % 2 == 0 ? 0.0f : -0.0f);
+                    }
+                    for (const int hgt : heights) {
+                        for (const int wdt : widths) {
+                            std::vector<Tensor> xs;
+                            std::vector<BandOracle> want;
+                            for (int b = 0; b < kBatch; ++b) {
+                                Tensor x({kCi * n, hgt, wdt});
+                                for (int64_t i = 0; i < x.numel(); ++i) {
+                                    x[i] = operand();
+                                }
+                                want.push_back(
+                                    band_pass_oracle(ring, x, w, bias, u, v));
+                                xs.push_back(std::move(x));
+                            }
+                            for (const int threads : {1, 3}) {
+                                for (const ConvEpilogue ep :
+                                     {ConvEpilogue::kNone, ConvEpilogue::kRelu,
+                                      ConvEpilogue::kDirectional}) {
+                                    RingConvEngineOptions eo;
+                                    eo.threads = threads;
+                                    RingConvEngine engine(ring, w, bias, eo);
+                                    engine.set_epilogue(ep, &u, &v);
+                                    const std::vector<Tensor> got =
+                                        engine.run(xs);
+                                    for (int b = 0; b < kBatch; ++b) {
+                                        const BandOracle& o =
+                                            want[static_cast<size_t>(b)];
+                                        const Tensor& ref =
+                                            ep == ConvEpilogue::kNone ? o.conv
+                                            : ep == ConvEpilogue::kRelu
+                                                ? o.relu
+                                                : o.dir;
+                                        const Tensor& g =
+                                            got[static_cast<size_t>(b)];
+                                        ASSERT_EQ(g.shape(), ref.shape());
+                                        for (int64_t i = 0; i < g.numel();
+                                             ++i) {
+                                            // float ==, and the sign of a
+                                            // zero must agree as well.
+                                            ASSERT_TRUE(
+                                                g[i] == ref[i] &&
+                                                std::signbit(g[i]) ==
+                                                    std::signbit(ref[i]))
+                                                << name << " k=" << k
+                                                << " pruned=" << pruned
+                                                << " bias=" << with_bias
+                                                << " " << hgt << "x" << wdt
+                                                << " threads=" << threads
+                                                << " epilogue="
+                                                << static_cast<int>(ep)
+                                                << " image " << b
+                                                << " flat " << i << ": "
+                                                << g[i] << " vs " << ref[i];
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 }  // namespace
