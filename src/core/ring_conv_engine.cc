@@ -439,39 +439,34 @@ RingConvEngine::conv_band_f32(const float* const* planes, int h, int wd,
                           (static_cast<int64_t>(co * n_ + r) * h + y0) * wd
                     : z + static_cast<size_t>(r) * bh * wd;
 
-            // Output rows [y, y + nrows), all with the tap table built for
-            // row y (row i reads each source i * stride further on).
-            // Rows are OVERWRITTEN — accumulation starts from the first
-            // term. Columns outside [lx, rx) also take the halo's zero
-            // products, which change no nonzero partial sum; the one
+            // Output row y (`len` values from its start) from the tap
+            // table. Rows are OVERWRITTEN — accumulation starts from the
+            // first term. Columns outside [lx, rx) also take the halo's
+            // zero products, which change no nonzero partial sum; the one
             // `+ 0.0f` turns a -0 result back into the +0 that an
-            // accumulator skipping those taps, starting from +0,
-            // produces (it never produces -0).
-            const auto run_rows = [&](int y, int nrows, int nt, int lx,
-                                      int rx) {
+            // accumulator skipping those taps, starting from +0, produces
+            // (it never produces -0).
+            const auto run_row = [&](int y, int nt, int lx, int rx,
+                                     int64_t len) {
                 float* zrow = zr + static_cast<size_t>(y - y0) * wd;
                 if (nt == 0) {
-                    std::fill_n(zrow, static_cast<size_t>(nrows) * wd, 0.0f);
+                    std::fill_n(zrow, len, 0.0f);
                     return;
                 }
                 // Chunk long tap tables so each pass's source rows fit
                 // L1. Chunks apply in order, so per-element
                 // accumulation order — and every bit — is unchanged.
                 const int first = std::min(nt, kTapChunk);
-                simd::matvec_rows_f32(zrow, tsrc, tw, first, wd, nrows,
-                                      stride, wd);
+                simd::matvec_rows_f32(zrow, tsrc, tw, first, len);
                 for (int t0 = first; t0 < nt; t0 += kTapChunk) {
                     simd::axpy_rows_f32(zrow, tsrc + t0, tw + t0,
-                                        std::min(kTapChunk, nt - t0), wd,
-                                        nrows, stride, wd);
+                                        std::min(kTapChunk, nt - t0), len);
                 }
-                for (int i = 0; i < nrows; ++i, zrow += wd) {
-                    for (int xx = 0; xx < std::min(lx, wd); ++xx) {
-                        zrow[xx] += 0.0f;
-                    }
-                    for (int xx = std::max(rx, lx); xx < wd; ++xx) {
-                        zrow[xx] += 0.0f;
-                    }
+                for (int xx = 0; xx < std::min(lx, wd); ++xx) {
+                    zrow[xx] += 0.0f;
+                }
+                for (int xx = std::max(rx, lx); xx < wd; ++xx) {
+                    zrow[xx] += 0.0f;
                 }
             };
 
@@ -500,23 +495,30 @@ RingConvEngine::conv_band_f32(const float* const* planes, int h, int wd,
 
             // Rows whose kernel footprint leaves the image (top/bottom
             // pad rows) have per-row tap sets; every interior row shares
-            // ONE set whose source pointers just advance by a row — the
-            // table is built once per (r, band) and the interior runs as
-            // one multi-row pass.
+            // ONE set whose source pointers just advance by a staged
+            // row — the table is built once per (r, band). With k == 1
+            // (no pad, every column in [lx, rx)) the source and output
+            // rows are both contiguous, so the band is ONE long row.
             const int yA = std::min(std::max(y0, pad), y1);
             const int yB = std::max(std::min(y1, h - pad), yA);
             int lx = 0, rx = wd;
             for (int y = y0; y < yA; ++y) {
                 const int nt = build_row(y, lx, rx);
-                run_rows(y, 1, nt, lx, rx);
+                run_row(y, nt, lx, rx, wd);
             }
-            if (yA < yB) {
+            if (yA < yB && pad == 0) {
                 const int nt = build_row(yA, lx, rx);
-                run_rows(yA, yB - yA, nt, lx, rx);
+                run_row(yA, nt, lx, rx, static_cast<int64_t>(yB - yA) * wd);
+            } else if (yA < yB) {
+                const int nt = build_row(yA, lx, rx);
+                for (int y = yA; y < yB; ++y) {
+                    run_row(y, nt, lx, rx, wd);
+                    for (int t = 0; t < nt; ++t) tsrc[t] += stride;
+                }
             }
             for (int y = yB; y < y1; ++y) {
                 const int nt = build_row(y, lx, rx);
-                run_rows(y, 1, nt, lx, rx);
+                run_row(y, nt, lx, rx, wd);
             }
         }
 

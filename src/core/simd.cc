@@ -318,33 +318,23 @@ namespace detail {
 
 void
 axpy_rows_f32_generic(float* dst, const float* const* srcs,
-                      const float* coeffs, int ntaps, int64_t len,
-                      int64_t rows, int64_t src_stride, int64_t dst_stride)
+                      const float* coeffs, int ntaps, int64_t len)
 {
-    for (int64_t r = 0; r < rows; ++r) {
-        float* d = dst + r * dst_stride;
-        const int64_t so = r * src_stride;
-        for (int64_t i = 0; i < len; ++i) {
-            float acc = d[i];
-            for (int t = 0; t < ntaps; ++t) acc += coeffs[t] * srcs[t][so + i];
-            d[i] = acc;
-        }
+    for (int64_t i = 0; i < len; ++i) {
+        float acc = dst[i];
+        for (int t = 0; t < ntaps; ++t) acc += coeffs[t] * srcs[t][i];
+        dst[i] = acc;
     }
 }
 
 void
 matvec_rows_f32_generic(float* dst, const float* const* srcs,
-                        const float* coeffs, int ntaps, int64_t len,
-                        int64_t rows, int64_t src_stride, int64_t dst_stride)
+                        const float* coeffs, int ntaps, int64_t len)
 {
-    for (int64_t r = 0; r < rows; ++r) {
-        float* d = dst + r * dst_stride;
-        const int64_t so = r * src_stride;
-        for (int64_t i = 0; i < len; ++i) {
-            float acc = coeffs[0] * srcs[0][so + i];
-            for (int t = 1; t < ntaps; ++t) acc += coeffs[t] * srcs[t][so + i];
-            d[i] = acc;
-        }
+    for (int64_t i = 0; i < len; ++i) {
+        float acc = coeffs[0] * srcs[0][i];
+        for (int t = 1; t < ntaps; ++t) acc += coeffs[t] * srcs[t][i];
+        dst[i] = acc;
     }
 }
 
@@ -525,9 +515,8 @@ asum_avx2(const float* src, int64_t len)
 // be) written by another block, and may already hold their final sums.
 template <int B, bool kAccumulate>
 __attribute__((target("avx2"))) inline void
-rows_tile_avx2(float* dst, const float* const* srcs, int64_t so,
-               const float* coeffs, int ntaps, int64_t col, int64_t last,
-               int skip)
+rows_tile_avx2(float* dst, const float* const* srcs, const float* coeffs,
+               int ntaps, int64_t col, int64_t last, int skip)
 {
     const auto at = [col, last](int j) {
         return j < B - 1 ? col + 8 * j : last;
@@ -539,7 +528,7 @@ rows_tile_avx2(float* dst, const float* const* srcs, int64_t so,
         for (int j = 0; j < B; ++j) acc[j] = _mm256_loadu_ps(dst + at(j));
     } else {
         const __m256 c = _mm256_set1_ps(coeffs[0]);
-        const float* s = srcs[0] + so;
+        const float* s = srcs[0];
 #pragma GCC unroll 8
         for (int j = 0; j < B; ++j) {
             acc[j] = _mm256_mul_ps(c, _mm256_loadu_ps(s + at(j)));
@@ -548,7 +537,7 @@ rows_tile_avx2(float* dst, const float* const* srcs, int64_t so,
     }
     for (; t < ntaps; ++t) {
         const __m256 c = _mm256_set1_ps(coeffs[t]);
-        const float* s = srcs[t] + so;
+        const float* s = srcs[t];
 #pragma GCC unroll 8
         for (int j = 0; j < B; ++j) {
             acc[j] = _mm256_add_ps(acc[j],
@@ -567,16 +556,23 @@ rows_tile_avx2(float* dst, const float* const* srcs, int64_t so,
     }
 }
 
-/** One row of rows_avx2; the sources start at srcs[t] + so. */
 template <bool kAccumulate>
-__attribute__((target("avx2"))) inline void
-row_avx2(float* dst, const float* const* srcs, int64_t so,
-         const float* coeffs, int ntaps, int64_t len)
+__attribute__((target("avx2"))) void
+rows_avx2(float* dst, const float* const* srcs, const float* coeffs,
+          int ntaps, int64_t len)
 {
+    if (len < 8) {
+        if (kAccumulate) {
+            detail::axpy_rows_f32_generic(dst, srcs, coeffs, ntaps, len);
+        } else {
+            detail::matvec_rows_f32_generic(dst, srcs, coeffs, ntaps, len);
+        }
+        return;
+    }
     int64_t i = 0;
     for (; i + 64 <= len; i += 64) {
-        rows_tile_avx2<8, kAccumulate>(dst, srcs, so, coeffs, ntaps, i,
-                                       i + 56, 0);
+        rows_tile_avx2<8, kAccumulate>(dst, srcs, coeffs, ntaps, i, i + 56,
+                                       0);
     }
     if (i == len) return;
     // The remainder as ONE tile: its full blocks plus the tail block.
@@ -588,8 +584,8 @@ row_avx2(float* dst, const float* const* srcs, int64_t so,
     switch (blocks) {
 #define RINGCNN_ROW_TILE(B)                                                  \
     case B:                                                                  \
-        return rows_tile_avx2<B, kAccumulate>(dst, srcs, so, coeffs, ntaps, \
-                                              i, last, skip);
+        return rows_tile_avx2<B, kAccumulate>(dst, srcs, coeffs, ntaps, i,  \
+                                              last, skip);
         RINGCNN_ROW_TILE(1)
         RINGCNN_ROW_TILE(2)
         RINGCNN_ROW_TILE(3)
@@ -602,85 +598,14 @@ row_avx2(float* dst, const float* const* srcs, int64_t so,
     }
 }
 
-template <bool kAccumulate>
-__attribute__((target("avx2"))) void
-rows_avx2(float* dst, const float* const* srcs, const float* coeffs,
-          int ntaps, int64_t len, int64_t rows, int64_t src_stride,
-          int64_t dst_stride)
-{
-    if (len < 8) {
-        if (kAccumulate) {
-            detail::axpy_rows_f32_generic(dst, srcs, coeffs, ntaps, len, rows,
-                                          src_stride, dst_stride);
-        } else {
-            detail::matvec_rows_f32_generic(dst, srcs, coeffs, ntaps, len,
-                                            rows, src_stride, dst_stride);
-        }
-        return;
-    }
-    for (int64_t r = 0; r < rows; ++r) {
-        row_avx2<kAccumulate>(dst + r * dst_stride, srcs, r * src_stride,
-                              coeffs, ntaps, len);
-    }
-}
-
-/** True when Sylvester Hadamard entry H(k, j) = (-1)^popcount(k & j) is
- *  negative. */
-constexpr bool
-hadamard_negative(int k, int j)
-{
-    return (__builtin_popcount(static_cast<unsigned>(k & j)) & 1) != 0;
-}
-
-/** True when the row-major n x n `m` is c * H_n (Sylvester order) for a
- *  finite nonzero float c, which is stored to *c. */
-bool
-scaled_hadamard(const float* m, int n, float* c)
-{
-    const float c0 = m[0];
-    if (c0 == 0.0f || !std::isfinite(c0)) return false;
-    for (int k = 0; k < n; ++k) {
-        for (int j = 0; j < n; ++j) {
-            const float want = hadamard_negative(k, j) ? -c0 : c0;
-            if (m[k * n + j] != want) return false;
-        }
-    }
-    *c = c0;
-    return true;
-}
-
 /**
  * y_k = m[k][0]*x_0 + m[k][1]*x_1 + ... for one 8-lane block of each
- * x_j: the multiply first, then ascending-j adds. When m = c * H_n
- * (kHadamard), every product m[k][j]*x_j is +-(c*x_j) exactly — rounding
- * is sign-symmetric — and adding -(c*x_j) is subtracting c*x_j, so the
- * n products are formed once and each row's chain adds or subtracts
- * them in the same order; rows whose signs agree on a prefix share it.
- * The values are those of the dense chain except that a NaN product
- * may differ in sign: the callers only form chains over finite or
- * +-Inf values, or rectify the result (which maps every NaN to +0).
+ * x_j: the multiply first, then ascending-j adds.
  */
-template <int N, bool kHadamard>
+template <int N>
 __attribute__((target("avx2"))) inline void
-tuple_matvec_avx2(const __m256* x, __m256* y, const float* m, float c)
+tuple_matvec_avx2(const __m256* x, __m256* y, const float* m)
 {
-    if (kHadamard) {
-        const __m256 vc = _mm256_set1_ps(c);
-        __m256 p[N];
-#pragma GCC unroll 16
-        for (int j = 0; j < N; ++j) p[j] = _mm256_mul_ps(vc, x[j]);
-#pragma GCC unroll 16
-        for (int k = 0; k < N; ++k) {
-            __m256 acc = p[0];
-#pragma GCC unroll 16
-            for (int j = 1; j < N; ++j) {
-                acc = hadamard_negative(k, j) ? _mm256_sub_ps(acc, p[j])
-                                              : _mm256_add_ps(acc, p[j]);
-            }
-            y[k] = acc;
-        }
-        return;
-    }
 #pragma GCC unroll 16
     for (int k = 0; k < N; ++k) {
         __m256 acc = _mm256_mul_ps(_mm256_set1_ps(m[k * N]), x[0]);
@@ -695,11 +620,11 @@ tuple_matvec_avx2(const __m256* x, __m256* y, const float* m, float c)
 
 /** One 8-column block of dir_relu_f32 on N-tuples; `lanes` < 8 runs
  *  masked (maskload reads, and maskstore writes, only those lanes). */
-template <int N, bool kHadamard>
+template <int N>
 __attribute__((target("avx2"))) inline void
 dir_relu_block_avx2(float* const* dst, const float* const* src,
-                    const float* u, const float* v, float cu, float cv,
-                    int64_t i, int lanes, uint8_t* const* mask)
+                    const float* u, const float* v, int64_t i, int lanes,
+                    uint8_t* const* mask)
 {
     const __m256i live = _mm256_cmpgt_epi32(
         _mm256_set1_epi32(lanes), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
@@ -709,7 +634,7 @@ dir_relu_block_avx2(float* const* dst, const float* const* src,
         x[j] = lanes == 8 ? _mm256_loadu_ps(src[j] + i)
                           : _mm256_maskload_ps(src[j] + i, live);
     }
-    tuple_matvec_avx2<N, kHadamard>(x, t, v, cv);
+    tuple_matvec_avx2<N>(x, t, v);
     const __m256 zero = _mm256_setzero_ps();
 #pragma GCC unroll 16
     for (int k = 0; k < N; ++k) {
@@ -722,7 +647,7 @@ dir_relu_block_avx2(float* const* dst, const float* const* src,
         // -0 and NaN lanes taking the +0 operand.
         t[k] = _mm256_max_ps(t[k], zero);
     }
-    tuple_matvec_avx2<N, kHadamard>(t, x, u, cu);
+    tuple_matvec_avx2<N>(t, x, u);
 #pragma GCC unroll 16
     for (int k = 0; k < N; ++k) {
         if (lanes == 8) {
@@ -733,33 +658,18 @@ dir_relu_block_avx2(float* const* dst, const float* const* src,
     }
 }
 
-template <int N, bool kHadamard>
-__attribute__((target("avx2"))) void
-dir_relu_avx2_run(float* const* dst, const float* const* src,
-                  const float* u, const float* v, float cu, float cv,
-                  int64_t len, uint8_t* const* mask)
-{
-    int64_t i = 0;
-    for (; i + 8 <= len; i += 8) {
-        dir_relu_block_avx2<N, kHadamard>(dst, src, u, v, cu, cv, i, 8, mask);
-    }
-    if (i < len) {
-        dir_relu_block_avx2<N, kHadamard>(dst, src, u, v, cu, cv, i,
-                                          static_cast<int>(len - i), mask);
-    }
-}
-
-// The fH transforms (V = H, U = H/n) take the shared-product chains.
 template <int N>
 __attribute__((target("avx2"))) void
 dir_relu_avx2_n(float* const* dst, const float* const* src, const float* u,
                 const float* v, int64_t len, uint8_t* const* mask)
 {
-    float cu = 0.0f, cv = 0.0f;
-    if (scaled_hadamard(u, N, &cu) && scaled_hadamard(v, N, &cv)) {
-        dir_relu_avx2_run<N, true>(dst, src, u, v, cu, cv, len, mask);
-    } else {
-        dir_relu_avx2_run<N, false>(dst, src, u, v, cu, cv, len, mask);
+    int64_t i = 0;
+    for (; i + 8 <= len; i += 8) {
+        dir_relu_block_avx2<N>(dst, src, u, v, i, 8, mask);
+    }
+    if (i < len) {
+        dir_relu_block_avx2<N>(dst, src, u, v, i, static_cast<int>(len - i),
+                               mask);
     }
 }
 
@@ -1157,7 +1067,7 @@ using AxpyFn = void (*)(float*, const float*, float, int64_t);
 using DotFn = float (*)(const float*, const float*, int64_t);
 using SumFn = float (*)(const float*, int64_t);
 using RowsFn = void (*)(float*, const float* const*, const float*, int,
-                        int64_t, int64_t, int64_t, int64_t);
+                        int64_t);
 using DirF32Fn = void (*)(float* const*, const float* const*, int,
                           const float*, const float*, int64_t,
                           uint8_t* const*);
@@ -1284,21 +1194,17 @@ plane_sums_f32(const float* src, int64_t len, double* sum, double* asum)
 
 void
 axpy_rows_f32(float* dst, const float* const* srcs, const float* coeffs,
-              int ntaps, int64_t len, int64_t rows, int64_t src_stride,
-              int64_t dst_stride)
+              int ntaps, int64_t len)
 {
     if (ntaps <= 0) return;
-    dispatch().axpy_rows(dst, srcs, coeffs, ntaps, len, rows, src_stride,
-                         dst_stride);
+    dispatch().axpy_rows(dst, srcs, coeffs, ntaps, len);
 }
 
 void
 matvec_rows_f32(float* dst, const float* const* srcs, const float* coeffs,
-                int ntaps, int64_t len, int64_t rows, int64_t src_stride,
-                int64_t dst_stride)
+                int ntaps, int64_t len)
 {
-    dispatch().matvec_rows(dst, srcs, coeffs, ntaps, len, rows, src_stride,
-                           dst_stride);
+    dispatch().matvec_rows(dst, srcs, coeffs, ntaps, len);
 }
 
 void

@@ -176,9 +176,7 @@ void plane_sums_f32(const float* src, int64_t len, double* sum,
  * no-op.
  */
 void axpy_rows_f32(float* dst, const float* const* srcs,
-                   const float* coeffs, int ntaps, int64_t len,
-                   int64_t rows = 1, int64_t src_stride = 0,
-                   int64_t dst_stride = 0);
+                   const float* coeffs, int ntaps, int64_t len);
 
 /**
  * Overwriting variant: dst[i] = c[0]*srcs[0][i] + c[1]*srcs[1][i] + ...
@@ -186,16 +184,9 @@ void axpy_rows_f32(float* dst, const float* const* srcs,
  * followed by ntaps-1 axpy_f32 calls, fused into one pass, with the same
  * register tiling. Requires ntaps >= 1; dst must not alias a source. The
  * engine's conv rows and input transforms use this shape.
- *
- * Both row kernels optionally run `rows` rows in one call: row r reads
- * srcs[t] + r*src_stride and writes dst + r*dst_stride, exactly as
- * `rows` single-row calls would (the conv band's interior rows share
- * one tap table).
  */
 void matvec_rows_f32(float* dst, const float* const* srcs,
-                     const float* coeffs, int ntaps, int64_t len,
-                     int64_t rows = 1, int64_t src_stride = 0,
-                     int64_t dst_stride = 0);
+                     const float* coeffs, int ntaps, int64_t len);
 
 /**
  * Directional ReLU over one n-tuple of rows (n <= 16), y = U fcw(V x):
@@ -209,10 +200,7 @@ void matvec_rows_f32(float* dst, const float* const* srcs,
  * between the two products, so dst may alias src (the fused conv
  * epilogue runs in place). When `mask` is non-null, mask[k][i] is set to
  * 1 where t_k > 0 and 0 elsewhere (the training backward's gate).
- * Identical bits on every dispatch target. When u and v are scalar
- * multiples of the Sylvester Hadamard matrix (the fH pair), the AVX2
- * build forms each product once and adds or subtracts it per row — the
- * same operations on the same values, so the same bits.
+ * Identical bits on every dispatch target.
  */
 void dir_relu_f32(float* const* dst, const float* const* src, int n,
                   const float* u, const float* v, int64_t len,
@@ -285,13 +273,9 @@ namespace detail {
 // dispatch fallback), exposed so tests can pin the vector builds
 // against them.
 void axpy_rows_f32_generic(float* dst, const float* const* srcs,
-                           const float* coeffs, int ntaps, int64_t len,
-                           int64_t rows, int64_t src_stride,
-                           int64_t dst_stride);
+                           const float* coeffs, int ntaps, int64_t len);
 void matvec_rows_f32_generic(float* dst, const float* const* srcs,
-                             const float* coeffs, int ntaps, int64_t len,
-                             int64_t rows, int64_t src_stride,
-                             int64_t dst_stride);
+                             const float* coeffs, int ntaps, int64_t len);
 void dir_relu_f32_generic(float* const* dst, const float* const* src, int n,
                           const float* u, const float* v, int64_t len,
                           uint8_t* const* mask);

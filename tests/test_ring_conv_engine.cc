@@ -475,51 +475,40 @@ TEST(SimdF32Rows, GenericAndDispatchedAgreeBitForBit)
     for (int64_t l = 120; l <= 130; ++l) lens.push_back(l);
     for (const int64_t len : lens) {
         for (const int ntaps : {1, 2, 4, 27, 72, 96, 97}) {
-            // One and three rows per call; the sources sit at random
-            // offsets of one buffer, so loads are unaligned and sources
-            // overlap.
-            constexpr int64_t kRows = 3;
-            const int64_t src_stride = len + 3, dst_stride = len + 5;
-            std::vector<float> pool(static_cast<size_t>(
-                (ntaps + 1) * (kRows * src_stride + 7)));
+            // The sources sit at random offsets of one buffer, so loads
+            // are unaligned and sources overlap.
+            std::vector<float> pool(static_cast<size_t>((ntaps + 1) *
+                                                        (len + 7)));
             for (float& v : pool) v = kernel_operand(rng);
             std::vector<const float*> srcs(static_cast<size_t>(ntaps));
             std::vector<float> coeffs(static_cast<size_t>(ntaps));
             std::uniform_int_distribution<int64_t> at(
-                0, static_cast<int64_t>(pool.size()) -
-                       kRows * src_stride - 1);
+                0, static_cast<int64_t>(pool.size()) - len);
             for (int t = 0; t < ntaps; ++t) {
                 srcs[static_cast<size_t>(t)] = pool.data() + at(rng);
                 coeffs[static_cast<size_t>(t)] = kernel_operand(rng);
             }
-            std::vector<float> init(static_cast<size_t>(kRows * dst_stride));
+            // Five guard lanes past the row must stay untouched.
+            std::vector<float> init(static_cast<size_t>(len + 5));
             for (float& v : init) v = kernel_operand(rng);
-            for (const int64_t rows : {int64_t{1}, kRows}) {
-                for (const bool accumulate : {false, true}) {
-                    std::vector<float> g = init, d = init;
-                    if (accumulate) {
-                        simd::detail::axpy_rows_f32_generic(
-                            g.data(), srcs.data(), coeffs.data(), ntaps, len,
-                            rows, src_stride, dst_stride);
-                        simd::axpy_rows_f32(d.data(), srcs.data(),
-                                            coeffs.data(), ntaps, len, rows,
-                                            src_stride, dst_stride);
-                    } else {
-                        simd::detail::matvec_rows_f32_generic(
-                            g.data(), srcs.data(), coeffs.data(), ntaps, len,
-                            rows, src_stride, dst_stride);
-                        simd::matvec_rows_f32(d.data(), srcs.data(),
-                                              coeffs.data(), ntaps, len, rows,
-                                              src_stride, dst_stride);
-                    }
-                    // Lanes outside the rows must be left untouched too.
-                    for (size_t i = 0; i < g.size(); ++i) {
-                        ASSERT_TRUE(same_float(g[i], d[i]))
-                            << simd::active_isa() << " len=" << len
-                            << " taps=" << ntaps << " rows=" << rows
-                            << " accumulate=" << accumulate << " at " << i
-                            << ": " << g[i] << " vs " << d[i];
-                    }
+            for (const bool accumulate : {false, true}) {
+                std::vector<float> g = init, d = init;
+                if (accumulate) {
+                    simd::detail::axpy_rows_f32_generic(
+                        g.data(), srcs.data(), coeffs.data(), ntaps, len);
+                    simd::axpy_rows_f32(d.data(), srcs.data(), coeffs.data(),
+                                        ntaps, len);
+                } else {
+                    simd::detail::matvec_rows_f32_generic(
+                        g.data(), srcs.data(), coeffs.data(), ntaps, len);
+                    simd::matvec_rows_f32(d.data(), srcs.data(),
+                                          coeffs.data(), ntaps, len);
+                }
+                for (size_t i = 0; i < g.size(); ++i) {
+                    ASSERT_TRUE(same_float(g[i], d[i]))
+                        << simd::active_isa() << " len=" << len
+                        << " taps=" << ntaps << " accumulate=" << accumulate
+                        << " at " << i << ": " << g[i] << " vs " << d[i];
                 }
             }
         }
@@ -535,8 +524,7 @@ TEST(SimdF32Rows, DirectionalGenericAndDispatchedAgreeBitForBit)
     for (int64_t l = 55; l <= 66; ++l) lens.push_back(l);
     for (int64_t l = 120; l <= 130; ++l) lens.push_back(l);
     for (const int n : {1, 2, 3, 4, 8, 16}) {
-        // Dense random transforms (the general path), fH (the
-        // scaled-Hadamard path) and fO4 at n = 4.
+        // Dense random transforms, fH and fO4 at n = 4.
         const auto flat = [n](const Matd& m) {
             std::vector<float> f(static_cast<size_t>(n) * n);
             for (int i = 0; i < n; ++i) {
