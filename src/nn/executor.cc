@@ -9,6 +9,7 @@
 #include "plan/arena_planner.h"
 #include "plan/fusion_pass.h"
 #include "tensor/image_ops.h"
+#include "tensor/layout_ops.h"
 #include "util/check.h"
 #include "util/fault.h"
 #include "util/thread_pool.h"
@@ -16,10 +17,6 @@
 namespace ringcnn::nn {
 
 namespace {
-
-// The permutation/pad/crop arena kernels (pixel_*_into, channel_pad_into,
-// crop_channels_into) live in tensor/image_ops.cc so their index math is
-// shared with the allocating reference functions.
 
 void
 relu_into(const Tensor& x, Tensor& out)
@@ -86,19 +83,13 @@ ModelExecutor::rebind(const Shape& in_shape)
                   "executor input must be a CHW shape");
     // Fault site: plan compile/rebind hitting an allocation failure.
     if (util::fault_check("plan.alloc")) throw std::bad_alloc();
-    in_shape_ = in_shape;
-    steps_.clear();
-    engines_.clear();
-    fused_real_convs_ = 0;
-    fallback_steps_ = 0;
-    batch_capacity_ = 0;  // new slots start empty; ensure_batch regrows
-    macs_ = model_->macs(in_shape_);
 
     // The shared compile pipeline (src/plan): linearize the layer tree,
     // attach conv epilogues per the executor's fusion policy, assign
     // refcounted arena slots. Lowering below maps each IR op onto the
-    // fp32 kernels.
-    plan_ = plan::linearize(model_->root(), in_shape_);
+    // fp32 kernels. The plan is built before anything else changes, so
+    // a shape the model rejects leaves the previous plan intact.
+    plan_ = plan::linearize(model_->root(), in_shape);
     plan::FusionOptions fo;
     fo.fuse_relu = opt_.fuse_epilogues && !opt_.strict_fp64;
     fo.fuse_dir_relu = fo.fuse_relu;
@@ -107,16 +98,13 @@ ModelExecutor::rebind(const Shape& in_shape)
     plan::fuse_epilogues(plan_, fo);
     plan::plan_arena(plan_);
 
-    // Keep the arena across rebinds: existing slot Tensors (and their
-    // buffer capacity) are reassigned to the new plan's slot ids, so
-    // recompiling for a new shape reuses the allocations of the old
-    // plan wherever they are big enough.
-    if (static_cast<int>(slots_.size()) < plan_.num_slots) {
-        slots_.resize(static_cast<size_t>(plan_.num_slots));
-    }
-    entry_slot_ = plan_.entry_slot;
-    out_slot_ = plan_.out_slot;
+    in_shape_ = in_shape;
     out_shape_ = plan_.out_shape;
+    macs_ = model_->macs(in_shape_);
+    engines_.clear();
+    fused_real_convs_ = 0;
+    fallback_steps_ = 0;
+    steps_.rebind(plan_);  // the arena keeps its buffers
     lower();
 }
 
@@ -157,16 +145,17 @@ ModelExecutor::lower_ringconv(const plan::OpIR& op)
 
     const int in = op.in0_slot;
     const int out = op.out_slot;
-    steps_.push_back([this, rec_idx, in, out](int batch) {
+    steps_.push([this, rec_idx, in, out](int batch) {
         EngineRec& r = *engines_[rec_idx];
-        for (int b = 0; b < batch; ++b) {
-            r.in_ptrs[static_cast<size_t>(b)] =
-                &slots_[static_cast<size_t>(in)][static_cast<size_t>(b)];
+        if (r.in_ptrs.size() < static_cast<size_t>(batch)) {
+            r.in_ptrs.resize(static_cast<size_t>(batch));
         }
+        for (int b = 0; b < batch; ++b) {
+            r.in_ptrs[static_cast<size_t>(b)] = &steps_.at(in, b);
+        }
+        Tensor* ys = steps_.slot(out).data();
         if (!opt_.verify_checksums || r.checksum == nullptr) {
-            r.engine->run_into(r.in_ptrs.data(),
-                               slots_[static_cast<size_t>(out)].data(),
-                               batch, &conv_scratch_);
+            r.engine->run_into(r.in_ptrs.data(), ys, batch, &conv_scratch_);
             return;
         }
         // ABFT: shifted-window input sums first (the input slot may be
@@ -183,47 +172,34 @@ ModelExecutor::lower_ringconv(const plan::OpIR& op)
                 r.in_sums.data() + static_cast<size_t>(b) * taps,
                 r.in_abs.data() + static_cast<size_t>(b) * taps);
         }
-        r.engine->run_into(r.in_ptrs.data(),
-                           slots_[static_cast<size_t>(out)].data(), batch,
-                           &conv_scratch_, &r.out_sums);
+        r.engine->run_into(r.in_ptrs.data(), ys, batch, &conv_scratch_,
+                           &r.out_sums);
         for (int b = 0; b < batch; ++b) {
-            const Tensor& y =
-                slots_[static_cast<size_t>(out)][static_cast<size_t>(b)];
             plan::abft_check_f32(
                 cs, r.in_sums.data() + static_cast<size_t>(b) * taps,
                 r.in_abs.data() + static_cast<size_t>(b) * taps,
-                r.out_sums.data() +
-                    static_cast<size_t>(b) * cs.co,
-                y.dim(1), y.dim(2), r.op_index, r.engine->n());
+                r.out_sums.data() + static_cast<size_t>(b) * cs.co,
+                ys[b].dim(1), ys[b].dim(2), r.op_index, r.engine->n());
         }
     });
-}
-
-void
-ModelExecutor::lower_conv2d(const plan::OpIR& op)
-{
-    auto* conv = layer_of<Conv2d>(op);
-    const bool fuse_relu = op.epilogue == plan::Epilogue::kRelu;
-    const int in = op.in0_slot;
-    const int out = op.out_slot;
-    const Shape out_shape = op.out_shape;
-    steps_.push_back([this, conv, in, out, out_shape, fuse_relu](int batch) {
-        for (int b = 0; b < batch; ++b) {
-            Tensor& dst =
-                slots_[static_cast<size_t>(out)][static_cast<size_t>(b)];
-            dst.reset(out_shape);
-            conv2d_forward(
-                slots_[static_cast<size_t>(in)][static_cast<size_t>(b)],
-                conv->weights(), conv->bias(), dst, fuse_relu);
-        }
-    });
-    if (fuse_relu) ++fused_real_convs_;
 }
 
 void
 ModelExecutor::lower()
 {
     using plan::OpKind;
+    // The layout moves share one signature: input, its shape, the op's
+    // scalar (r, want or keep), output.
+    using LayoutKernel = void (*)(const float*, const Shape&, int, float*);
+    const auto layout_step = [this](const plan::OpIR& op,
+                                    LayoutKernel kernel) {
+        steps_.unary(op.in0_slot, op.out_slot,
+                     [kernel, arg = op.arg, os = op.out_shape](
+                         const Tensor& x, Tensor& y) {
+                         y.reset(os);
+                         kernel(x.data(), x.shape(), arg, y.data());
+                     });
+    };
     for (const plan::OpIR& op : plan_.ops) {
         if (op.fused) continue;  // absorbed into its conv's epilogue
         const int in = op.in0_slot;
@@ -232,165 +208,72 @@ ModelExecutor::lower()
         case OpKind::kRingConv:
             lower_ringconv(op);
             break;
-        case OpKind::kDenseConv:
-            lower_conv2d(op);
-            break;
-        case OpKind::kResidualAdd:
-        case OpKind::kBranchAdd: {
-            const int addend = op.in1_slot;
-            if (out == in) {
-                // The accumulate side dies here: add into it in place.
-                steps_.push_back([this, out, addend](int batch) {
-                    for (int b = 0; b < batch; ++b) {
-                        slots_[static_cast<size_t>(out)]
-                              [static_cast<size_t>(b)] +=
-                            slots_[static_cast<size_t>(addend)]
-                                  [static_cast<size_t>(b)];
-                    }
-                });
-            } else {
-                // Copy-then-add is bitwise the in-place sum (IEEE adds
-                // of the same operands); taken only on degenerate
-                // graphs whose accumulate side stays live.
-                steps_.push_back([this, in, out, addend](int batch) {
-                    for (int b = 0; b < batch; ++b) {
-                        Tensor& dst = slots_[static_cast<size_t>(out)]
-                                            [static_cast<size_t>(b)];
-                        dst = slots_[static_cast<size_t>(in)]
-                                    [static_cast<size_t>(b)];
-                        dst += slots_[static_cast<size_t>(addend)]
-                                     [static_cast<size_t>(b)];
-                    }
-                });
-            }
+        case OpKind::kDenseConv: {
+            auto* conv = layer_of<Conv2d>(op);
+            const bool relu = op.epilogue == plan::Epilogue::kRelu;
+            steps_.unary(in, out, [conv, os = op.out_shape, relu](
+                                      const Tensor& x, Tensor& y) {
+                y.reset(os);
+                conv2d_forward(x, conv->weights(), conv->bias(), y, relu);
+            });
+            if (relu) ++fused_real_convs_;
             break;
         }
+        case OpKind::kResidualAdd:
+        case OpKind::kBranchAdd:
+            // In place when the accumulate side dies here. Otherwise
+            // (degenerate graphs whose accumulate side stays live)
+            // copy-then-add, bitwise the in-place sum.
+            steps_.binary(in, op.in1_slot, out,
+                          [](const Tensor& a, const Tensor& b, Tensor& y) {
+                              if (&y != &a) y = a;
+                              y += b;
+                          });
+            break;
         case OpKind::kRelu:
-            steps_.push_back([this, in, out](int batch) {
-                for (int b = 0; b < batch; ++b) {
-                    relu_into(
-                        slots_[static_cast<size_t>(in)]
-                              [static_cast<size_t>(b)],
-                        slots_[static_cast<size_t>(out)]
-                              [static_cast<size_t>(b)]);
-                }
-            });
+            steps_.unary(in, out, relu_into);
             break;
         case OpKind::kDirRelu: {
             auto* dr = layer_of<DirectionalReLU>(op);
-            steps_.push_back([this, dr, in, out](int batch) {
-                for (int b = 0; b < batch; ++b) {
-                    // Safe in place (rows are consumed before rewrite).
-                    directional_relu_forward(
-                        slots_[static_cast<size_t>(in)]
-                              [static_cast<size_t>(b)],
-                        dr->u(), dr->v(),
-                        slots_[static_cast<size_t>(out)]
-                              [static_cast<size_t>(b)],
-                        nullptr);
-                }
+            // Safe in place (rows are consumed before rewrite).
+            steps_.unary(in, out, [dr](const Tensor& x, Tensor& y) {
+                directional_relu_forward(x, dr->u(), dr->v(), y, nullptr);
             });
             break;
         }
-        case OpKind::kPixelShuffle: {
-            const int r = op.arg;
-            steps_.push_back([this, in, out, r](int batch) {
-                for (int b = 0; b < batch; ++b) {
-                    pixel_shuffle_into(
-                        slots_[static_cast<size_t>(in)]
-                              [static_cast<size_t>(b)],
-                        r,
-                        slots_[static_cast<size_t>(out)]
-                              [static_cast<size_t>(b)]);
-                }
-            });
+        case OpKind::kPixelShuffle:
+            layout_step(op, layout::pixel_shuffle<float>);
             break;
-        }
-        case OpKind::kPixelUnshuffle: {
-            const int r = op.arg;
-            steps_.push_back([this, in, out, r](int batch) {
-                for (int b = 0; b < batch; ++b) {
-                    pixel_unshuffle_into(
-                        slots_[static_cast<size_t>(in)]
-                              [static_cast<size_t>(b)],
-                        r,
-                        slots_[static_cast<size_t>(out)]
-                              [static_cast<size_t>(b)]);
-                }
-            });
+        case OpKind::kPixelUnshuffle:
+            layout_step(op, layout::pixel_unshuffle<float>);
             break;
-        }
-        case OpKind::kChannelPad: {
-            const int want = op.arg;
-            steps_.push_back([this, in, out, want](int batch) {
-                for (int b = 0; b < batch; ++b) {
-                    channel_pad_into(
-                        slots_[static_cast<size_t>(in)]
-                              [static_cast<size_t>(b)],
-                        want,
-                        slots_[static_cast<size_t>(out)]
-                              [static_cast<size_t>(b)]);
-                }
-            });
+        case OpKind::kChannelPad:
+            layout_step(op, layout::channel_pad<float>);
             break;
-        }
-        case OpKind::kCropChannels: {
-            const int keep = op.arg;
-            steps_.push_back([this, in, out, keep](int batch) {
-                for (int b = 0; b < batch; ++b) {
-                    crop_channels_into(
-                        slots_[static_cast<size_t>(in)]
-                              [static_cast<size_t>(b)],
-                        keep,
-                        slots_[static_cast<size_t>(out)]
-                              [static_cast<size_t>(b)]);
-                }
-            });
+        case OpKind::kCropChannels:
+            layout_step(op, layout::crop_channels<float>);
             break;
-        }
         case OpKind::kDepthwiseConv: {
             auto* dw = layer_of<DepthwiseConv2d>(op);
-            const Shape os = op.out_shape;
-            steps_.push_back([this, dw, in, out, os](int batch) {
-                for (int b = 0; b < batch; ++b) {
-                    Tensor& dst = slots_[static_cast<size_t>(out)]
-                                        [static_cast<size_t>(b)];
-                    dst.reset(os);
-                    depthwise_conv2d_forward(
-                        slots_[static_cast<size_t>(in)]
-                              [static_cast<size_t>(b)],
-                        dw->weights(), dw->bias(), dst);
-                }
+            steps_.unary(in, out, [dw, os = op.out_shape](const Tensor& x,
+                                                          Tensor& y) {
+                y.reset(os);
+                depthwise_conv2d_forward(x, dw->weights(), dw->bias(), y);
             });
             break;
         }
-        case OpKind::kUpsample: {
-            const int r = op.arg;
-            steps_.push_back([this, in, out, r](int batch) {
-                for (int b = 0; b < batch; ++b) {
-                    upsample_bilinear_into(
-                        slots_[static_cast<size_t>(in)]
-                              [static_cast<size_t>(b)],
-                        r,
-                        slots_[static_cast<size_t>(out)]
-                              [static_cast<size_t>(b)]);
-                }
+        case OpKind::kUpsample:
+            steps_.unary(in, out, [r = op.arg](const Tensor& x, Tensor& y) {
+                upsample_bilinear_into(x, r, y);
             });
             break;
-        }
         default: {
             // Fallback for layers without a compiled kernel (future
             // additions): correct but allocating.
             auto* l = layer_of<Layer>(op);
             ++fallback_steps_;
-            steps_.push_back([this, l, in, out](int batch) {
-                for (int b = 0; b < batch; ++b) {
-                    slots_[static_cast<size_t>(out)]
-                          [static_cast<size_t>(b)] =
-                        l->forward(slots_[static_cast<size_t>(in)]
-                                         [static_cast<size_t>(b)],
-                                   false);
-                }
+            steps_.unary(in, out, [l](const Tensor& x, Tensor& y) {
+                y = l->forward(x, false);
             });
             break;
         }
@@ -464,27 +347,7 @@ ModelExecutor::refresh()
 }
 
 void
-ModelExecutor::ensure_batch(int count)
-{
-    if (count <= batch_capacity_) return;
-    // Grow-only: after a rebind the capacity counter restarts at 0
-    // while some slot vectors may still be larger — never shrink them
-    // (their Tensor buffers are the recycled arena capacity).
-    for (auto& slot : slots_) {
-        if (slot.size() < static_cast<size_t>(count)) {
-            slot.resize(static_cast<size_t>(count));
-        }
-    }
-    for (auto& rec : engines_) {
-        if (rec->in_ptrs.size() < static_cast<size_t>(count)) {
-            rec->in_ptrs.resize(static_cast<size_t>(count));
-        }
-    }
-    batch_capacity_ = count;
-}
-
-void
-ModelExecutor::exec(const Tensor* const* xs, int count)
+ModelExecutor::run_batch(const Tensor* const* xs, int count)
 {
     for (int b = 0; b < count; ++b) {
         RINGCNN_CHECK(xs[b]->shape() == in_shape_,
@@ -495,22 +358,19 @@ ModelExecutor::exec(const Tensor* const* xs, int count)
                           xs[b]->shape_str());
     }
     refresh();
-    ensure_batch(count);
-    auto& entry = slots_[static_cast<size_t>(entry_slot_)];
-    for (int b = 0; b < count; ++b) {
-        entry[static_cast<size_t>(b)].reset(in_shape_);
-        std::memcpy(entry[static_cast<size_t>(b)].data(), xs[b]->data(),
+    steps_.run(count, [&](int b, Tensor& e) {
+        e.reset(in_shape_);
+        std::memcpy(e.data(), xs[b]->data(),
                     static_cast<size_t>(xs[b]->numel()) * sizeof(float));
-    }
-    // Fault site: NaN/Inf poison landing on an activation AFTER serve-
-    // side input validation (an in-flight corruption, not a bad input).
-    uint64_t fault_token;
-    if (util::fault_check("fp32.activation", &fault_token)) {
-        Tensor& e0 = entry[0];
-        util::fault_poison(e0.data(),
-                           static_cast<size_t>(e0.numel()), fault_token);
-    }
-    for (auto& step : steps_) step(count);
+        // Fault site: NaN/Inf poison landing on an activation AFTER
+        // serve-side input validation (an in-flight corruption, not a
+        // bad input).
+        uint64_t fault_token;
+        if (b == 0 && util::fault_check("fp32.activation", &fault_token)) {
+            util::fault_poison(e.data(), static_cast<size_t>(e.numel()),
+                               fault_token);
+        }
+    });
 }
 
 Tensor
@@ -523,8 +383,8 @@ const Tensor&
 ModelExecutor::run_view(const Tensor& x)
 {
     const Tensor* px = &x;
-    exec(&px, 1);
-    return slots_[static_cast<size_t>(out_slot_)][0];
+    run_batch(&px, 1);
+    return steps_.out(0);
 }
 
 std::vector<Tensor>
@@ -532,20 +392,20 @@ ModelExecutor::run(const std::vector<Tensor>& xs)
 {
     std::vector<const Tensor*> ptrs(xs.size());
     for (size_t i = 0; i < xs.size(); ++i) ptrs[i] = &xs[i];
-    exec(ptrs.data(), static_cast<int>(xs.size()));
-    const auto& out = slots_[static_cast<size_t>(out_slot_)];
-    return std::vector<Tensor>(out.begin(),
-                               out.begin() + static_cast<int64_t>(xs.size()));
+    run_batch(ptrs.data(), static_cast<int>(xs.size()));
+    std::vector<Tensor> outs;
+    outs.reserve(xs.size());
+    for (int b = 0; b < static_cast<int>(xs.size()); ++b) {
+        outs.push_back(steps_.out(b));
+    }
+    return outs;
 }
 
 void
 ModelExecutor::run_into(const Tensor* const* xs, Tensor* outs, int count)
 {
-    exec(xs, count);
-    auto& slot = slots_[static_cast<size_t>(out_slot_)];
-    for (int b = 0; b < count; ++b) {
-        std::swap(outs[b], slot[static_cast<size_t>(b)]);
-    }
+    run_batch(xs, count);
+    for (int b = 0; b < count; ++b) std::swap(outs[b], steps_.out(b));
 }
 
 std::vector<Tensor>

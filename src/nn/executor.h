@@ -18,11 +18,13 @@
  *    Conv2d is likewise folded into the conv step (the n=1 real-algebra
  *    baselines rectify each output channel while it is hot);
  *  - all other supported layers (Conv2d, shuffles, pad/crop, residual
- *    and two-branch adds) become allocation-free steps over a slotted
- *    activation arena — a generalized ping-pong buffer set sized from
- *    out_shape() at compile time, with slots recycled by the arena
- *    planner's compile-time liveness. After the first run the steady
- *    state performs no heap allocations;
+ *    and two-branch adds) become allocation-free steps over the slotted
+ *    activation arena of a plan::StepList — the arena, batch growth and
+ *    step loop the int8 executor shares — with slots recycled by the
+ *    arena planner's compile-time liveness. The shuffles, pad and crop
+ *    run the element-type templates of tensor/layout_ops.h, the same
+ *    code as the int8 arena's. After the first run the steady state
+ *    performs no heap allocations;
  *  - unrecognized layers fall back to Layer::forward (correct, but
  *    allocating) so any model stays runnable.
  *
@@ -45,13 +47,13 @@
 #define RINGCNN_NN_EXECUTOR_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/ring_conv_engine.h"
 #include "nn/model.h"
 #include "plan/graph_ir.h"
+#include "plan/step_list.h"
 
 namespace ringcnn::nn {
 
@@ -97,7 +99,7 @@ class ModelExecutor
     /** Compiled step count (introspection for tests/benches). */
     size_t step_count() const { return steps_.size(); }
     /** Activation-arena slot count (introspection for tests/benches). */
-    int slot_count() const { return static_cast<int>(slots_.size()); }
+    int slot_count() const { return steps_.slot_count(); }
     /** Dense (real-algebra) convs whose following ReLU was fused into
      *  the conv step (introspection for tests/benches). */
     int fused_conv_relu_count() const { return fused_real_convs_; }
@@ -121,8 +123,8 @@ class ModelExecutor
     int64_t arena_bytes() const
     {
         int64_t bytes = 0;
-        for (const auto& lane : slots_) {
-            for (const auto& t : lane) {
+        for (const auto& lanes : steps_.arena()) {
+            for (const auto& t : lanes) {
                 bytes += static_cast<int64_t>(t.vec().capacity()) *
                          static_cast<int64_t>(sizeof(float));
             }
@@ -186,10 +188,10 @@ class ModelExecutor
     // ---- backend lowering of the shared plan (see executor.cc) ----
     void lower();
     void lower_ringconv(const plan::OpIR& op);
-    void lower_conv2d(const plan::OpIR& op);
 
-    void exec(const Tensor* const* xs, int count);
-    void ensure_batch(int count);
+    /** Checks the inputs' shape, refreshes the engines and runs the
+     *  steps over `count` images. */
+    void run_batch(const Tensor* const* xs, int count);
 
     ExecutorOptions opt_;
     Model* model_ = nullptr;  ///< compile target; must outlive us
@@ -199,18 +201,13 @@ class ModelExecutor
     /** The shared-pipeline plan the steps below lower. */
     plan::GraphPlan plan_;
 
-    /** Activation arena: slots_[slot][image]. Buffers keep their
-     *  capacity across runs; batch dimension grows on demand. */
-    std::vector<std::vector<Tensor>> slots_;
-    int entry_slot_ = -1, out_slot_ = -1;
-
-    /** Linear plan; each step processes the whole current batch. */
-    std::vector<std::function<void(int)>> steps_;
+    /** The lowered plan and its activation arena; the arena keeps its
+     *  buffers across runs and rebinds. */
+    plan::StepList<Tensor> steps_;
     std::vector<std::unique_ptr<EngineRec>> engines_;
     /** Scratch of every engine step (steps run one at a time); kept
      *  across rebinds like the arena. */
     RingConvScratch conv_scratch_;
-    int batch_capacity_ = 0;
     int fused_real_convs_ = 0;
     int fallback_steps_ = 0;
 };

@@ -5,6 +5,7 @@
 #include "core/ring_conv_engine.h"
 #include "nn/conv_kernels.h"
 #include "tensor/image_ops.h"
+#include "tensor/layout_ops.h"
 
 namespace ringcnn::nn {
 
@@ -329,38 +330,48 @@ Tensor
 PixelShuffle::forward(const Tensor& x, bool train)
 {
     (void)train;
-    return pixel_shuffle(x, r_);
+    Tensor out(out_shape(x.shape()));
+    layout::pixel_shuffle(x.data(), x.shape(), r_, out.data());
+    return out;
 }
 
 Tensor
 PixelShuffle::backward(const Tensor& grad_out)
 {
-    return pixel_unshuffle(grad_out, r_);
+    Tensor grad(layout::pixel_unshuffle_shape(grad_out.shape(), r_));
+    layout::pixel_unshuffle(grad_out.data(), grad_out.shape(), r_,
+                            grad.data());
+    return grad;
 }
 
 Shape
 PixelShuffle::out_shape(const Shape& in) const
 {
-    return {in[0] / (r_ * r_), in[1] * r_, in[2] * r_};
+    return layout::pixel_shuffle_shape(in, r_);
 }
 
 Tensor
 PixelUnshuffle::forward(const Tensor& x, bool train)
 {
     (void)train;
-    return pixel_unshuffle(x, r_);
+    Tensor out(out_shape(x.shape()));
+    layout::pixel_unshuffle(x.data(), x.shape(), r_, out.data());
+    return out;
 }
 
 Tensor
 PixelUnshuffle::backward(const Tensor& grad_out)
 {
-    return pixel_shuffle(grad_out, r_);
+    Tensor grad(layout::pixel_shuffle_shape(grad_out.shape(), r_));
+    layout::pixel_shuffle(grad_out.data(), grad_out.shape(), r_,
+                          grad.data());
+    return grad;
 }
 
 Shape
 PixelUnshuffle::out_shape(const Shape& in) const
 {
-    return {in[0] * r_ * r_, in[1] / r_, in[2] / r_};
+    return layout::pixel_unshuffle_shape(in, r_);
 }
 
 // ---- ChannelPad -------------------------------------------------------------
@@ -370,10 +381,10 @@ ChannelPad::forward(const Tensor& x, bool train)
 {
     (void)train;
     in_channels_ = x.dim(0);
-    const int want = (x.dim(0) + multiple_ - 1) / multiple_ * multiple_;
-    if (want == x.dim(0)) return x;
-    Tensor out({want, x.dim(1), x.dim(2)});
-    std::copy(x.data(), x.data() + x.numel(), out.data());
+    const Shape os = out_shape(x.shape());
+    if (os[0] == in_channels_) return x;
+    Tensor out(os);
+    layout::channel_pad(x.data(), x.shape(), os[0], out.data());
     return out;
 }
 
@@ -382,7 +393,8 @@ ChannelPad::backward(const Tensor& grad_out)
 {
     if (grad_out.dim(0) == in_channels_) return grad_out;
     Tensor grad({in_channels_, grad_out.dim(1), grad_out.dim(2)});
-    std::copy(grad_out.data(), grad_out.data() + grad.numel(), grad.data());
+    layout::crop_channels(grad_out.data(), grad_out.shape(), in_channels_,
+                          grad.data());
     return grad;
 }
 
@@ -401,9 +413,8 @@ CropChannels::forward(const Tensor& x, bool train)
     (void)train;
     in_channels_ = x.dim(0);
     if (in_channels_ == keep_) return x;
-    assert(keep_ < in_channels_);
-    Tensor out({keep_, x.dim(1), x.dim(2)});
-    std::copy(x.data(), x.data() + out.numel(), out.data());
+    Tensor out(out_shape(x.shape()));
+    layout::crop_channels(x.data(), x.shape(), keep_, out.data());
     return out;
 }
 
@@ -412,8 +423,8 @@ CropChannels::backward(const Tensor& grad_out)
 {
     if (in_channels_ == keep_) return grad_out;
     Tensor grad({in_channels_, grad_out.dim(1), grad_out.dim(2)});
-    std::copy(grad_out.data(), grad_out.data() + grad_out.numel(),
-              grad.data());
+    layout::channel_pad(grad_out.data(), grad_out.shape(), in_channels_,
+                        grad.data());
     return grad;
 }
 

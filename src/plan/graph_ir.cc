@@ -10,6 +10,7 @@
 #include "core/simd.h"
 #include "nn/layer.h"
 #include "quant/quant_model.h"
+#include "tensor/layout_ops.h"
 #include "util/check.h"
 
 namespace ringcnn::plan
@@ -50,12 +51,6 @@ epilogue_name(Epilogue e)
         case Epilogue::kRequant: return "requant";
     }
     return "?";
-}
-
-int64_t
-ceil_div(int64_t a, int64_t b)
-{
-    return (a + b - 1) / b;
 }
 
 }  // namespace
@@ -567,9 +562,6 @@ annotate_dense_sparsity(OpIR& op, const Tensor& w)
 struct F32Linearizer
 {
     GraphPlan p;
-    const LinearizeOptions& opt;
-
-    explicit F32Linearizer(const LinearizeOptions& o) : opt(o) {}
 
     OpIR& emit(OpKind kind, const void* node, int in0, const Shape& in_shape,
                const Shape& out_shape, int in1 = -1)
@@ -660,9 +652,7 @@ struct F32Linearizer
         }
         if (auto* pad = dynamic_cast<ChannelPad*>(l)) {
             const Shape os = pad->out_shape(shape);
-            if (opt.elide_noop_channel_ops && os[0] == shape[0]) {
-                return in;  // no-op pad
-            }
+            if (os[0] == shape[0]) return in;  // no-op pad
             OpIR& op = emit(OpKind::kChannelPad, pad, in, shape, os);
             op.arg = os[0];
             shape = os;
@@ -670,9 +660,7 @@ struct F32Linearizer
         }
         if (auto* crop = dynamic_cast<CropChannels*>(l)) {
             const Shape os = crop->out_shape(shape);
-            if (opt.elide_noop_channel_ops && os[0] == shape[0]) {
-                return in;  // no-op crop
-            }
+            if (os[0] == shape[0]) return in;  // no-op crop
             OpIR& op = emit(OpKind::kCropChannels, crop, in, shape, os);
             op.arg = os[0];
             shape = os;
@@ -705,11 +693,11 @@ struct F32Linearizer
 }  // namespace
 
 GraphPlan
-linearize(nn::Layer& root, const Shape& in_shape, const LinearizeOptions& opt)
+linearize(nn::Layer& root, const Shape& in_shape)
 {
     RINGCNN_CHECK(in_shape.size() == 3,
                   "executor input must be a CHW shape");
-    F32Linearizer lin(opt);
+    F32Linearizer lin;
     lin.p.in_shape = in_shape;
     Shape shape = in_shape;
     lin.p.out_value = lin.walk(&root, lin.p.entry_value, shape);
@@ -825,7 +813,7 @@ struct I8Linearizer
         }
         if (const auto* pad = dynamic_cast<const QPadNode*>(n)) {
             OpIR& op = emit(OpKind::kChannelPad, pad, in, bits);
-            op.arg = pad->multiple;
+            op.arg = pad->want;
             return op.out;
         }
         if (const auto* crop = dynamic_cast<const QCropNode*>(n)) {
@@ -895,17 +883,12 @@ annotate_shapes(GraphPlan& plan, const Shape& in_shape)
                 out = {op.co, in[1], in[2]};
                 break;
             case OpKind::kPixelShuffle:
-                out = {in[0] / (op.arg * op.arg), in[1] * op.arg,
-                       in[2] * op.arg};
+                out = layout::pixel_shuffle_shape(in, op.arg);
                 break;
             case OpKind::kPixelUnshuffle:
-                out = {in[0] * op.arg * op.arg, in[1] / op.arg,
-                       in[2] / op.arg};
+                out = layout::pixel_unshuffle_shape(in, op.arg);
                 break;
             case OpKind::kChannelPad:
-                out = {static_cast<int>(ceil_div(in[0], op.arg)) * op.arg,
-                       in[1], in[2]};
-                break;
             case OpKind::kCropChannels:
                 out = {op.arg, in[1], in[2]};
                 break;

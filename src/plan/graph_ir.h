@@ -20,7 +20,11 @@
  *                    activation buffers, in-place ops alias their
  *                    input slot.
  *   4. lower       — per backend: fp32 RingConvEngine kernels, int8
- *                    QuantConvKernel kernels, or sim cost events.
+ *                    QuantConvKernel kernels, or sim cost events. Both
+ *                    executors lower into a plan::StepList
+ *                    (step_list.h), which owns the slot arena and the
+ *                    step loop, and run the layout ops through the
+ *                    shared templates of tensor/layout_ops.h.
  *
  * Ops reference the originating layer/node via an opaque pointer; the
  * model must outlive the plan. The IR itself never dereferences it —
@@ -217,8 +221,8 @@ struct OpIR
 
     /** Tuple size: ring n for convs (fp32), dir tuple n for kDirRelu. */
     int tuple = 0;
-    /** Kind-specific scalar: shuffle factor r, pad target channels,
-     *  crop keep count, upsample factor. */
+    /** Kind-specific scalar: shuffle factor r, the channel count a pad
+     *  fills to (`want`), crop keep count, upsample factor. */
     int arg = 0;
     /** Conv output channels (for shape propagation without the node). */
     int co = 0;
@@ -257,14 +261,6 @@ struct OpIR
     int out_slot = -1;
 };
 
-struct LinearizeOptions
-{
-    /** Drop ChannelPad/CropChannels ops whose output shape equals the
-     *  input (the fp32 executor elides them; the int8 graph has no
-     *  no-op pads — conversion emits them only when needed). */
-    bool elide_noop_channel_ops = true;
-};
-
 /** A compiled, backend-neutral plan. */
 struct GraphPlan
 {
@@ -296,11 +292,12 @@ struct GraphPlan
     std::string signature() const;
 };
 
-/** Linearizes a float layer tree. Carries the executor's shape
- *  validation: throws std::invalid_argument (via RINGCNN_CHECK) on a
- *  non-CHW input shape or mismatched residual/branch shapes. */
-GraphPlan linearize(nn::Layer& root, const Shape& in_shape,
-                    const LinearizeOptions& opt = {});
+/** Linearizes a float layer tree. A ChannelPad or CropChannels that
+ *  keeps the channel count emits no op (int8 conversion emits no node
+ *  for one either). Carries the executor's shape validation: throws
+ *  std::invalid_argument (via RINGCNN_CHECK) on a non-CHW input shape
+ *  or mismatched residual/branch shapes. */
+GraphPlan linearize(nn::Layer& root, const Shape& in_shape);
 
 /** Linearizes a quantized node graph. Shape-free; threads the
  *  accumulator bit width so each op records the feature bits live at

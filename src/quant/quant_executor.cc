@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/simd.h"
 #include "plan/arena_planner.h"
 #include "plan/fusion_pass.h"
+#include "tensor/layout_ops.h"
 #include "util/check.h"
 #include "util/fault.h"
 #include "util/thread_pool.h"
@@ -42,15 +43,26 @@ shift_fits_i32(double bound, int shift)
     return std::ldexp(bound, -shift) <= kMax;
 }
 
+/** Widens an arena activation to the oracle's int64 form. */
+template <class Act>
 QAct
-to_qact(const Shape& shape, const std::vector<int16_t>& v,
-        const std::vector<int>& frac)
+to_qact(const Act& a)
 {
     QAct q;
-    q.shape = shape;
-    q.frac = frac;
-    q.v.assign(v.begin(), v.end());
+    q.shape = a.shape;
+    q.frac = a.frac;
+    q.v.assign(a.v.begin(), a.v.end());
     return q;
+}
+
+/** The output format of an aligned add: its node's per-channel frac
+ *  and bit width. */
+template <class Node>
+std::pair<const std::vector<int>*, int>
+add_format(const void* node)
+{
+    const auto* n = static_cast<const Node*>(node);
+    return {&n->out_frac, n->bits};
 }
 
 /** Stores an oracle node's output into an arena activation, checking
@@ -89,9 +101,7 @@ QuantExecutor::QuantExecutor(const QuantizedModel& qm, QuantExecOptions opt)
     plan_ = plan::linearize(*root_, qopt_.feature_bits);
     plan::fuse_epilogues(plan_, plan::FusionOptions{});
     plan::plan_arena(plan_);
-    slots_.resize(static_cast<size_t>(plan_.num_slots));
-    entry_slot_ = plan_.entry_slot;
-    out_slot_ = plan_.out_slot;
+    steps_.rebind(plan_);
     lower();
 }
 
@@ -100,7 +110,6 @@ QuantExecutor::~QuantExecutor() = default;
 int
 QuantExecutor::band_rows(int h, int w, int pairs, int k) const
 {
-    if (opt_.row_band > 0) return std::min(opt_.row_band, h);
     // As many rows as the staging budget holds (any banding is
     // bit-equivalent; this only shapes cache use and parallel grain),
     // but at least 8 so the k-1 halo rows stay a small overhead.
@@ -202,16 +211,10 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
         // Scalar oracle walk for this conv AND its epilogue, chained in
         // one step so the wide int64 intermediate never enters the arena.
         ++scalar_convs_;
-        steps_.push_back([this, conv, dir, req, in, out](int batch) {
-            auto& ins = slots_[static_cast<size_t>(in)];
-            auto& outs = slots_[static_cast<size_t>(out)];
-            for (int b = 0; b < batch; ++b) {
-                const IAct& x = ins[static_cast<size_t>(b)];
-                const QAct acc = conv->forward(to_qact(x.shape, x.v, x.frac));
-                store_codes(dir != nullptr ? dir->forward(acc)
-                                           : req->forward(acc),
-                            outs[static_cast<size_t>(b)]);
-            }
+        steps_.unary(in, out, [conv, dir, req](const IAct& x, IAct& o) {
+            const QAct acc = conv->forward(to_qact(x));
+            store_codes(dir != nullptr ? dir->forward(acc) : req->forward(acc),
+                        o);
         });
         return;
     }
@@ -238,11 +241,11 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
     const int opidx = static_cast<int>(&op - plan_.ops.data());
     auto vb = cs != nullptr ? std::make_shared<VerifyBufs>() : nullptr;
 
-    steps_.push_back([this, dir, req, in, out, kidx, gn, bits, e1, e2, e3,
-                      out_frac, cs, opidx, vb](int batch) {
+    steps_.push([this, dir, req, in, out, kidx, gn, bits, e1, e2, e3,
+                 out_frac, cs, opidx, vb](int batch) {
         const QuantConvKernel& K = *kernels_[kidx];
-        auto& ins = slots_[static_cast<size_t>(in)];
-        auto& outs = slots_[static_cast<size_t>(out)];
+        auto& ins = steps_.slot(in);
+        auto& outs = steps_.slot(out);
         const int co = K.co();
         const int groups = co / gn;
 
@@ -401,14 +404,8 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
 void
 QuantExecutor::lower_fallback(const QNode* node, int in, int out)
 {
-    steps_.push_back([this, node, in, out](int batch) {
-        auto& ins = slots_[static_cast<size_t>(in)];
-        auto& outs = slots_[static_cast<size_t>(out)];
-        for (int b = 0; b < batch; ++b) {
-            const IAct& x = ins[static_cast<size_t>(b)];
-            store_codes(node->forward(to_qact(x.shape, x.v, x.frac)),
-                        outs[static_cast<size_t>(b)]);
-        }
+    steps_.unary(in, out, [node](const IAct& x, IAct& o) {
+        store_codes(node->forward(to_qact(x)), o);
     });
 }
 
@@ -425,37 +422,25 @@ QuantExecutor::lower()
             lower_conv(op);
             break;
         case OpKind::kRequant: {
-            // In place when the plan made this its input's last use.
+            // In place when the plan made this its input's last use: each
+            // channel's shift is read before o.frac is overwritten.
             const auto* req = static_cast<const QRequantNode*>(op.node);
-            steps_.push_back([this, req, in, out](int batch) {
-                auto& ins = slots_[static_cast<size_t>(in)];
-                auto& outs = slots_[static_cast<size_t>(out)];
-                for (int b = 0; b < batch; ++b) {
-                    IAct& x = ins[static_cast<size_t>(b)];
-                    IAct& o = outs[static_cast<size_t>(b)];
-                    const int c = x.shape[0];
-                    const int64_t plane = x.plane();
-                    const Shape shape = x.shape;
-                    std::vector<int> shifts(static_cast<size_t>(c));
-                    for (int ch = 0; ch < c; ++ch) {
-                        shifts[static_cast<size_t>(ch)] =
-                            x.frac[static_cast<size_t>(ch)] -
-                            req->target[static_cast<size_t>(ch)];
-                    }
-                    o.reset(shape);  // no-op when in place
-                    o.frac = req->target;
-                    for (int ch = 0; ch < c; ++ch) {
-                        const int shift = shifts[static_cast<size_t>(ch)];
-                        const int16_t* src = x.ch(ch);
-                        int16_t* dst = o.ch(ch);
-                        for (int64_t p = 0; p < plane; ++p) {
-                            int64_t v = src[p];
-                            if (req->relu_first && v < 0) v = 0;
-                            dst[p] = static_cast<int16_t>(
-                                shift_round_saturate(v, shift, req->bits));
-                        }
+            steps_.unary(in, out, [req](const IAct& x, IAct& o) {
+                const int64_t plane = x.plane();
+                o.reset(x.shape);  // no-op when in place
+                for (int ch = 0; ch < x.shape[0]; ++ch) {
+                    const int shift = x.frac[static_cast<size_t>(ch)] -
+                                      req->target[static_cast<size_t>(ch)];
+                    const int16_t* src = x.ch(ch);
+                    int16_t* dst = o.ch(ch);
+                    for (int64_t p = 0; p < plane; ++p) {
+                        int64_t v = src[p];
+                        if (req->relu_first && v < 0) v = 0;
+                        dst[p] = static_cast<int16_t>(
+                            shift_round_saturate(v, shift, req->bits));
                     }
                 }
+                o.frac = req->target;
             });
             break;
         }
@@ -465,258 +450,119 @@ QuantExecutor::lower()
             // oracle.
             lower_fallback(static_cast<const QNode*>(op.node), in, out);
             break;
-        case OpKind::kPixelShuffle: {
-            const int r = op.arg;
-            steps_.push_back([this, in, out, r](int batch) {
-                auto& ins = slots_[static_cast<size_t>(in)];
-                auto& outs = slots_[static_cast<size_t>(out)];
-                for (int b = 0; b < batch; ++b) {
-                    IAct& x = ins[static_cast<size_t>(b)];
-                    IAct& o = outs[static_cast<size_t>(b)];
-                    const int c = x.shape[0] / (r * r);
-                    const int h = x.shape[1], w = x.shape[2];
-                    o.reset({c, h * r, w * r});
-                    o.frac.resize(static_cast<size_t>(c));
-                    for (int oc = 0; oc < c; ++oc) {
-                        o.frac[static_cast<size_t>(oc)] =
-                            x.frac[static_cast<size_t>(oc * r * r)];
-                        for (int dy = 0; dy < r; ++dy) {
-                            for (int dx = 0; dx < r; ++dx) {
-                                const int ic = (oc * r + dy) * r + dx;
-                                const int16_t* src = x.ch(ic);
-                                int16_t* dst = o.ch(oc);
-                                for (int y = 0; y < h; ++y) {
-                                    for (int xx = 0; xx < w; ++xx) {
-                                        dst[(static_cast<int64_t>(y) * r +
-                                             dy) *
-                                                (w * r) +
-                                            xx * r + dx] =
-                                            src[static_cast<int64_t>(y) * w +
-                                                xx];
-                                    }
-                                }
-                            }
-                        }
-                    }
+        // The layout moves: the shared kernels move the codes, each
+        // output channel keeps the frac of the input channel it came
+        // from, and a padded channel takes channel 0's.
+        case OpKind::kPixelShuffle:
+            steps_.unary(in, out, [r = op.arg](const IAct& x, IAct& o) {
+                o.reset(layout::pixel_shuffle_shape(x.shape, r));
+                o.frac.resize(static_cast<size_t>(o.shape[0]));
+                for (size_t oc = 0; oc < o.frac.size(); ++oc) {
+                    o.frac[oc] = x.frac[oc * static_cast<size_t>(r * r)];
                 }
+                layout::pixel_shuffle(x.v.data(), x.shape, r, o.v.data());
             });
             break;
-        }
-        case OpKind::kPixelUnshuffle: {
-            const int r = op.arg;
-            steps_.push_back([this, in, out, r](int batch) {
-                auto& ins = slots_[static_cast<size_t>(in)];
-                auto& outs = slots_[static_cast<size_t>(out)];
-                for (int b = 0; b < batch; ++b) {
-                    IAct& x = ins[static_cast<size_t>(b)];
-                    IAct& o = outs[static_cast<size_t>(b)];
-                    const int c = x.shape[0];
-                    const int h = x.shape[1] / r, w = x.shape[2] / r;
-                    o.reset({c * r * r, h, w});
-                    o.frac.resize(static_cast<size_t>(c) * r * r);
-                    for (int ic = 0; ic < c; ++ic) {
-                        for (int dy = 0; dy < r; ++dy) {
-                            for (int dx = 0; dx < r; ++dx) {
-                                const int oc = (ic * r + dy) * r + dx;
-                                o.frac[static_cast<size_t>(oc)] =
-                                    x.frac[static_cast<size_t>(ic)];
-                                const int16_t* src = x.ch(ic);
-                                int16_t* dst = o.ch(oc);
-                                for (int y = 0; y < h; ++y) {
-                                    for (int xx = 0; xx < w; ++xx) {
-                                        dst[static_cast<int64_t>(y) * w +
-                                            xx] =
-                                            src[(static_cast<int64_t>(y) * r +
-                                                 dy) * x.shape[2] + xx * r + dx];
-                                    }
-                                }
-                            }
-                        }
-                    }
+        case OpKind::kPixelUnshuffle:
+            steps_.unary(in, out, [r = op.arg](const IAct& x, IAct& o) {
+                o.reset(layout::pixel_unshuffle_shape(x.shape, r));
+                o.frac.resize(static_cast<size_t>(o.shape[0]));
+                for (size_t oc = 0; oc < o.frac.size(); ++oc) {
+                    o.frac[oc] = x.frac[oc / static_cast<size_t>(r * r)];
                 }
+                layout::pixel_unshuffle(x.v.data(), x.shape, r, o.v.data());
             });
             break;
-        }
-        case OpKind::kChannelPad: {
-            const int multiple = op.arg;
-            steps_.push_back([this, in, out, multiple](int batch) {
-                auto& ins = slots_[static_cast<size_t>(in)];
-                auto& outs = slots_[static_cast<size_t>(out)];
-                for (int b = 0; b < batch; ++b) {
-                    IAct& x = ins[static_cast<size_t>(b)];
-                    IAct& o = outs[static_cast<size_t>(b)];
-                    const int c = x.shape[0];
-                    const int want =
-                        (c + multiple - 1) / multiple * multiple;
-                    o.reset({want, x.shape[1], x.shape[2]});
-                    o.frac.assign(static_cast<size_t>(want), x.frac[0]);
-                    for (int ch = 0; ch < c; ++ch) {
-                        o.frac[static_cast<size_t>(ch)] =
-                            x.frac[static_cast<size_t>(ch)];
-                    }
-                    std::memcpy(o.v.data(), x.v.data(),
-                                x.v.size() * sizeof(int16_t));
-                    std::fill(o.v.begin() + static_cast<int64_t>(x.v.size()),
-                              o.v.end(), 0);
-                }
+        case OpKind::kChannelPad:
+            steps_.unary(in, out, [want = op.arg](const IAct& x, IAct& o) {
+                o.reset({want, x.shape[1], x.shape[2]});
+                o.frac.assign(static_cast<size_t>(want), x.frac[0]);
+                std::copy(x.frac.begin(), x.frac.end(), o.frac.begin());
+                layout::channel_pad(x.v.data(), x.shape, want, o.v.data());
             });
             break;
-        }
-        case OpKind::kCropChannels: {
-            const int keep = op.arg;
-            steps_.push_back([this, in, out, keep](int batch) {
-                auto& ins = slots_[static_cast<size_t>(in)];
-                auto& outs = slots_[static_cast<size_t>(out)];
-                for (int b = 0; b < batch; ++b) {
-                    IAct& x = ins[static_cast<size_t>(b)];
-                    IAct& o = outs[static_cast<size_t>(b)];
-                    o.reset({keep, x.shape[1], x.shape[2]});
-                    o.frac.assign(x.frac.begin(), x.frac.begin() + keep);
-                    std::memcpy(o.v.data(), x.v.data(),
-                                o.v.size() * sizeof(int16_t));
-                }
+        case OpKind::kCropChannels:
+            steps_.unary(in, out, [keep = op.arg](const IAct& x, IAct& o) {
+                o.reset({keep, x.shape[1], x.shape[2]});
+                o.frac.assign(x.frac.begin(), x.frac.begin() + keep);
+                layout::crop_channels(x.v.data(), x.shape, keep, o.v.data());
             });
             break;
-        }
-        case OpKind::kResidualAdd: {
-            // in0 is the body result, in1 the skip input; the aligned
-            // add shifts both onto the node's output format. In place
-            // over the body slot when the plan allows it.
-            const auto* res = static_cast<const QResidualNode*>(op.node);
-            const int body_out = op.in0_slot;
-            const int skip = op.in1_slot;
-            steps_.push_back([this, res, skip, body_out, out](int batch) {
-                auto& as = slots_[static_cast<size_t>(skip)];
-                auto& bs = slots_[static_cast<size_t>(body_out)];
-                auto& outs = slots_[static_cast<size_t>(out)];
-                for (int b = 0; b < batch; ++b) {
-                    IAct& A = as[static_cast<size_t>(b)];
-                    IAct& B = bs[static_cast<size_t>(b)];
-                    IAct& O = outs[static_cast<size_t>(b)];
-                    const int c = A.shape[0];
-                    const int64_t plane = A.plane();
-                    const Shape shape = A.shape;
-                    for (int ch = 0; ch < c; ++ch) {
-                        // Shifts read before O.frac overwrites an alias.
-                        const int target =
-                            res->out_frac[static_cast<size_t>(ch)];
-                        const int sa =
-                            A.frac[static_cast<size_t>(ch)] - target;
-                        const int sb =
-                            B.frac[static_cast<size_t>(ch)] - target;
-                        const int16_t* pa = A.ch(ch);
-                        const int16_t* pb = B.ch(ch);
-                        if (ch == 0) O.reset(shape);  // no-op when aliased
-                        int16_t* po = O.ch(ch);
-                        for (int64_t p = 0; p < plane; ++p) {
-                            const int64_t va = shift_round_saturate(
-                                pa[p], sa, res->bits + 2);
-                            const int64_t vb = shift_round_saturate(
-                                pb[p], sb, res->bits + 2);
-                            po[p] = static_cast<int16_t>(
-                                shift_round_saturate(va + vb, 0, res->bits));
-                        }
-                    }
-                    O.frac = res->out_frac;
-                }
-            });
-            break;
-        }
+        case OpKind::kResidualAdd:
         case OpKind::kBranchAdd: {
-            // in0 is the main branch, in1 the skip branch.
-            const auto* two = static_cast<const QTwoBranchNode*>(op.node);
-            const int main_out = op.in0_slot;
-            const int skip_out = op.in1_slot;
-            steps_.push_back([this, two, main_out, skip_out, out](int batch) {
-                auto& as = slots_[static_cast<size_t>(main_out)];
-                auto& bs = slots_[static_cast<size_t>(skip_out)];
-                auto& outs = slots_[static_cast<size_t>(out)];
-                for (int b = 0; b < batch; ++b) {
-                    IAct& A = as[static_cast<size_t>(b)];
-                    IAct& B = bs[static_cast<size_t>(b)];
-                    IAct& O = outs[static_cast<size_t>(b)];
-                    const int c = A.shape[0];
-                    const int64_t plane = A.plane();
-                    const Shape shape = A.shape;
-                    for (int ch = 0; ch < c; ++ch) {
-                        const int target =
-                            two->out_frac[static_cast<size_t>(ch)];
-                        const int sa =
-                            A.frac[static_cast<size_t>(ch)] - target;
-                        const int sb2 =
-                            B.frac[static_cast<size_t>(ch)] - target;
-                        const int16_t* pa = A.ch(ch);
-                        const int16_t* pb = B.ch(ch);
-                        if (ch == 0) O.reset(shape);
-                        int16_t* po = O.ch(ch);
-                        for (int64_t p = 0; p < plane; ++p) {
-                            const int64_t va = shift_round_saturate(
-                                pa[p], sa, two->bits + 2);
-                            const int64_t vb = shift_round_saturate(
-                                pb[p], sb2, two->bits + 2);
-                            po[p] = static_cast<int16_t>(
-                                shift_round_saturate(va + vb, 0, two->bits));
-                        }
+            // Both operands shift onto the node's output format, then
+            // add and saturate. Integer addition commutes, so one step
+            // serves (body, skip) and (main, skip). In place over in0
+            // when the plan allows it: each channel's shifts are read
+            // before o.frac is overwritten.
+            const auto fmt = op.kind == OpKind::kResidualAdd
+                                 ? add_format<QResidualNode>(op.node)
+                                 : add_format<QTwoBranchNode>(op.node);
+            steps_.binary(in, op.in1_slot, out,
+                          [target = fmt.first, bits = fmt.second](
+                              const IAct& a, const IAct& b, IAct& o) {
+                const int64_t plane = a.plane();
+                o.reset(a.shape);  // no-op when in place
+                for (int ch = 0; ch < a.shape[0]; ++ch) {
+                    const int t = (*target)[static_cast<size_t>(ch)];
+                    const int sa = a.frac[static_cast<size_t>(ch)] - t;
+                    const int sb = b.frac[static_cast<size_t>(ch)] - t;
+                    const int16_t* pa = a.ch(ch);
+                    const int16_t* pb = b.ch(ch);
+                    int16_t* po = o.ch(ch);
+                    for (int64_t p = 0; p < plane; ++p) {
+                        const int64_t va =
+                            shift_round_saturate(pa[p], sa, bits + 2);
+                        const int64_t vb =
+                            shift_round_saturate(pb[p], sb, bits + 2);
+                        po[p] = static_cast<int16_t>(
+                            shift_round_saturate(va + vb, 0, bits));
                     }
-                    O.frac = two->out_frac;
                 }
+                o.frac = *target;
             });
             break;
         }
         case OpKind::kUpsample: {
             const auto* up = static_cast<const QBilinearNode*>(op.node);
-            steps_.push_back([this, up, in, out](int batch) {
-                auto& ins = slots_[static_cast<size_t>(in)];
-                auto& outs = slots_[static_cast<size_t>(out)];
+            steps_.unary(in, out, [up](const IAct& x, IAct& o) {
                 const int r = up->r;
                 const int wbits = 2 * ceil_log2(2 * r);
-                for (int b = 0; b < batch; ++b) {
-                    IAct& x = ins[static_cast<size_t>(b)];
-                    IAct& o = outs[static_cast<size_t>(b)];
-                    const int c = x.shape[0], h = x.shape[1],
-                              w = x.shape[2];
-                    const int ho = h * r, wo = w * r;
-                    o.reset({c, ho, wo});
-                    o.frac = up->target;
-                    for (int ic = 0; ic < c; ++ic) {
-                        const int shift = x.frac[static_cast<size_t>(ic)] +
-                                          wbits -
-                                          up->target[static_cast<size_t>(ic)];
-                        const int16_t* src = x.ch(ic);
-                        int16_t* dst = o.ch(ic);
-                        for (int oy = 0; oy < ho; ++oy) {
-                            int num_y = 2 * oy + 1 - r;
-                            num_y = std::max(0, std::min(num_y,
-                                                         2 * r * (h - 1)));
-                            const int y0 = num_y / (2 * r);
-                            const int wy = num_y - 2 * r * y0;
-                            const int y1 = std::min(y0 + 1, h - 1);
-                            for (int ox = 0; ox < wo; ++ox) {
-                                int num_x = 2 * ox + 1 - r;
-                                num_x = std::max(
-                                    0, std::min(num_x, 2 * r * (w - 1)));
-                                const int x0 = num_x / (2 * r);
-                                const int wx = num_x - 2 * r * x0;
-                                const int x1 = std::min(x0 + 1, w - 1);
-                                const int64_t acc =
-                                    static_cast<int64_t>(2 * r - wy) *
-                                        (2 * r - wx) *
-                                        src[static_cast<int64_t>(y0) * w +
-                                            x0] +
-                                    static_cast<int64_t>(2 * r - wy) * wx *
-                                        src[static_cast<int64_t>(y0) * w +
-                                            x1] +
-                                    static_cast<int64_t>(wy) * (2 * r - wx) *
-                                        src[static_cast<int64_t>(y1) * w +
-                                            x0] +
-                                    static_cast<int64_t>(wy) * wx *
-                                        src[static_cast<int64_t>(y1) * w +
-                                            x1];
-                                dst[static_cast<int64_t>(oy) * wo + ox] =
-                                    static_cast<int16_t>(
-                                        shift_round_saturate(acc, shift,
-                                                             up->bits));
-                            }
+                const int c = x.shape[0], h = x.shape[1], w = x.shape[2];
+                const int ho = h * r, wo = w * r;
+                o.reset({c, ho, wo});
+                o.frac = up->target;
+                for (int ic = 0; ic < c; ++ic) {
+                    const int shift = x.frac[static_cast<size_t>(ic)] + wbits -
+                                      up->target[static_cast<size_t>(ic)];
+                    const int16_t* src = x.ch(ic);
+                    int16_t* dst = o.ch(ic);
+                    for (int oy = 0; oy < ho; ++oy) {
+                        int num_y = 2 * oy + 1 - r;
+                        num_y = std::max(0, std::min(num_y, 2 * r * (h - 1)));
+                        const int y0 = num_y / (2 * r);
+                        const int wy = num_y - 2 * r * y0;
+                        const int y1 = std::min(y0 + 1, h - 1);
+                        for (int ox = 0; ox < wo; ++ox) {
+                            int num_x = 2 * ox + 1 - r;
+                            num_x =
+                                std::max(0, std::min(num_x, 2 * r * (w - 1)));
+                            const int x0 = num_x / (2 * r);
+                            const int wx = num_x - 2 * r * x0;
+                            const int x1 = std::min(x0 + 1, w - 1);
+                            const int64_t acc =
+                                static_cast<int64_t>(2 * r - wy) *
+                                    (2 * r - wx) *
+                                    src[static_cast<int64_t>(y0) * w + x0] +
+                                static_cast<int64_t>(2 * r - wy) * wx *
+                                    src[static_cast<int64_t>(y0) * w + x1] +
+                                static_cast<int64_t>(wy) * (2 * r - wx) *
+                                    src[static_cast<int64_t>(y1) * w + x0] +
+                                static_cast<int64_t>(wy) * wx *
+                                    src[static_cast<int64_t>(y1) * w + x1];
+                            dst[static_cast<int64_t>(oy) * wo + ox] =
+                                static_cast<int16_t>(shift_round_saturate(
+                                    acc, shift, up->bits));
                         }
                     }
                 }
@@ -734,21 +580,12 @@ QuantExecutor::lower()
 // ---- execution -------------------------------------------------------------
 
 void
-QuantExecutor::ensure_batch(int count)
-{
-    if (count <= batch_capacity_) return;
-    for (auto& slot : slots_) slot.resize(static_cast<size_t>(count));
-    batch_capacity_ = count;
-}
-
-void
-QuantExecutor::load(int b, const QAct& q)
+QuantExecutor::load(const QAct& q, IAct& e) const
 {
     RINGCNN_CHECK(q.shape.size() == 3 &&
                       q.frac.size() == static_cast<size_t>(q.shape[0]),
                   "quantized executor input must be CHW with per-channel "
                   "fracs");
-    IAct& e = slots_[static_cast<size_t>(entry_slot_)][static_cast<size_t>(b)];
     e.reset(q.shape);
     e.frac = q.frac;
     const int64_t lo = -(INT64_C(1) << (qopt_.feature_bits - 1));
@@ -762,11 +599,10 @@ QuantExecutor::load(int b, const QAct& q)
 }
 
 void
-QuantExecutor::load(int b, const Tensor& x)
+QuantExecutor::load(const Tensor& x, IAct& e) const
 {
     RINGCNN_CHECK(x.shape().size() == 3,
                   "quantized executor input must be CHW");
-    IAct& e = slots_[static_cast<size_t>(entry_slot_)][static_cast<size_t>(b)];
     e.reset(x.shape());
     e.frac.assign(static_cast<size_t>(x.dim(0)), input_fmt_.frac);
     simd::quantize_f32_i16(e.v.data(), x.data(), x.numel(), input_fmt_.frac,
@@ -774,26 +610,11 @@ QuantExecutor::load(int b, const Tensor& x)
 }
 
 void
-QuantExecutor::exec(int count)
-{
-    for (auto& step : steps_) step(count);
-}
-
-QAct
-QuantExecutor::output_qact(int b) const
-{
-    const IAct& o =
-        slots_[static_cast<size_t>(out_slot_)][static_cast<size_t>(b)];
-    return to_qact(o.shape, o.v, o.frac);
-}
-
-void
 QuantExecutor::output_tensor(int b, Tensor& out) const
 {
     // Same double product as QuantizedModel::dequantize, so the floats
     // are bit-identical.
-    const IAct& o =
-        slots_[static_cast<size_t>(out_slot_)][static_cast<size_t>(b)];
+    const IAct& o = steps_.out(b);
     out.reset(o.shape);
     const int64_t plane = o.plane();
     for (int c = 0; c < o.shape[0]; ++c) {
@@ -821,10 +642,8 @@ QAct
 QuantExecutor::run(const QAct& in)
 {
     ensure_workers();
-    ensure_batch(1);
-    load(0, in);
-    exec(1);
-    return output_qact(0);
+    steps_.run(1, [&](int, IAct& e) { load(in, e); });
+    return to_qact(steps_.out(0));
 }
 
 std::vector<QAct>
@@ -832,12 +651,12 @@ QuantExecutor::run(const std::vector<QAct>& ins)
 {
     const int count = static_cast<int>(ins.size());
     ensure_workers();
-    ensure_batch(count);
-    for (int b = 0; b < count; ++b) load(b, ins[static_cast<size_t>(b)]);
-    exec(count);
+    steps_.run(count, [&](int b, IAct& e) {
+        load(ins[static_cast<size_t>(b)], e);
+    });
     std::vector<QAct> out;
     out.reserve(ins.size());
-    for (int b = 0; b < count; ++b) out.push_back(output_qact(b));
+    for (int b = 0; b < count; ++b) out.push_back(to_qact(steps_.out(b)));
     return out;
 }
 
@@ -864,9 +683,7 @@ void
 QuantExecutor::forward_into(const Tensor* const* xs, Tensor* outs, int count)
 {
     ensure_workers();
-    ensure_batch(count);
-    for (int b = 0; b < count; ++b) load(b, *xs[b]);
-    exec(count);
+    steps_.run(count, [&](int b, IAct& e) { load(*xs[b], e); });
     for (int b = 0; b < count; ++b) output_tensor(b, outs[b]);
 }
 

@@ -22,11 +22,16 @@
  *    shifts, Hadamard butterfly, rectify, butterfly, per-component
  *    round/saturate (the Fig. 8 on-the-fly pipeline), the
  *    quantize-first ablation sequence, or requant;
- *  - all other nodes (shuffles, pad/crop, residual and two-branch
- *    aligned adds, the fixed-point bilinear upsampler) become
- *    allocation-free steps over a slotted int16 activation arena
- *    recycled by the arena planner's compile-time liveness — after the
- *    first run the steady state performs no heap allocations;
+ *  - all other nodes become allocation-free steps over the slotted
+ *    int16 activation arena of a plan::StepList — the arena, batch
+ *    growth and step loop the fp32 executor shares — recycled by the
+ *    arena planner's compile-time liveness; after the first run the
+ *    steady state performs no heap allocations. The shuffles, pad and
+ *    crop run the element-type templates of tensor/layout_ops.h (the
+ *    fp32 executor's code) and add only the per-channel frac
+ *    bookkeeping; residual and two-branch adds are one aligned-add step
+ *    (integer addition commutes, so operand order does not matter);
+ *    the fixed-point bilinear upsampler is its own step;
  *  - conv work parallelizes across (image, row band, output-group
  *    chunk) tasks on the persistent util::ThreadPool, each worker with
  *    its own staging and accumulator band.
@@ -53,12 +58,12 @@
 #define RINGCNN_QUANT_QUANT_EXECUTOR_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/ring_conv_engine.h"
 #include "plan/graph_ir.h"
+#include "plan/step_list.h"
 #include "quant/quant_model.h"
 
 namespace ringcnn::quant {
@@ -68,9 +73,6 @@ struct QuantExecOptions
 {
     /** Worker threads for conv steps; 0 = auto (RINGCNN_THREADS). */
     int threads = 0;
-    /** Output rows per conv task; 0 = auto. Any value produces
-     *  identical bits — this only shapes the parallel grain. */
-    int row_band = 0;
     /**
      * ABFT verification: after every fast-path conv, compare the raw
      * int32 accumulators' interior sum against the EXACT int64
@@ -118,7 +120,7 @@ class QuantExecutor
     /** Compiled step count (introspection for tests/benches). */
     size_t step_count() const { return steps_.size(); }
     /** Activation-arena slot count. */
-    int slot_count() const { return static_cast<int>(slots_.size()); }
+    int slot_count() const { return steps_.slot_count(); }
     /** Convs compiled onto the paired-tap int16 kernels. */
     int fast_conv_count() const { return fast_convs_; }
     /** Convs that fell back to the scalar oracle node (an accumulator
@@ -168,8 +170,6 @@ class QuantExecutor
         int64_t cell;
     };
 
-    using Step = std::function<void(int)>;  ///< arg: batch size
-
     // ---- backend lowering of the shared plan (see quant_executor.cc)
     void lower();
     /** Conv with its fused requant/dir-relu epilogue annotation. */
@@ -182,13 +182,10 @@ class QuantExecutor
     int band_rows(int h, int w, int pairs, int k) const;
     /** Resolves the worker count and sizes the per-worker scratch. */
     void ensure_workers();
-    void ensure_batch(int count);
-    /** Quantizes / copies image b into the entry slot. */
-    void load(int b, const Tensor& x);
-    void load(int b, const QAct& q);
-    /** Runs every step over the loaded entry slot. */
-    void exec(int count);
-    QAct output_qact(int b) const;
+    /** Quantizes / copies one image into its entry buffer. */
+    void load(const Tensor& x, IAct& e) const;
+    void load(const QAct& q, IAct& e) const;
+    /** Dequantizes image b's result. */
     void output_tensor(int b, Tensor& out) const;
 
     QuantExecOptions opt_;
@@ -199,16 +196,13 @@ class QuantExecutor
     /** The shared-pipeline plan the steps below lower. */
     plan::GraphPlan plan_;
 
-    std::vector<std::vector<IAct>> slots_;  ///< [slot][image]
-    int entry_slot_ = -1, out_slot_ = -1;
-
-    std::vector<Step> steps_;
+    /** The lowered plan and its int16 activation arena. */
+    plan::StepList<IAct> steps_;
     std::vector<std::unique_ptr<QuantConvKernel>> kernels_;
     std::vector<std::vector<int32_t>> wband_;  ///< per-worker accumulators
     std::vector<QuantConvKernel::Band> stage_; ///< per-worker staged rows
     std::vector<ConvTask> tasks_;              ///< reused task list
     int threads_ = 1;
-    int batch_capacity_ = 0;
     int fast_convs_ = 0, scalar_convs_ = 0;
 };
 

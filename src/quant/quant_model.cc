@@ -236,7 +236,6 @@ QAct
 QPadNode::forward(const QAct& x) const
 {
         const int c = x.channels();
-        const int want = (c + multiple - 1) / multiple * multiple;
         if (want == c) return x;
         QAct out;
         out.shape = {want, x.shape[1], x.shape[2]};
@@ -647,20 +646,25 @@ convert_layer(nn::Layer* l, Ctx& ctx)
         if (ctx.ops) ctx.ops->push_back(node->name());
         return node;
     }
+    // A pad or crop that keeps the channel count converts to an empty
+    // sequence: no node, as the fp32 linearizer emits no op for it.
     if (dynamic_cast<nn::ChannelPad*>(l) != nullptr) {
-        auto node = std::make_unique<QPadNode>();
         const Shape in = ctx.acts.front().shape();
         const int want = l->out_shape(in)[0];
-        node->multiple = want;  // pad to exactly `want` channels
+        if (want == in[0]) return std::make_unique<QSeq>();
+        auto node = std::make_unique<QPadNode>();
+        node->want = want;
         advance(ctx, l);
         ctx.frac.resize(static_cast<size_t>(want), ctx.frac.empty() ? 0 : ctx.frac[0]);
         if (ctx.ops) ctx.ops->push_back(node->name());
         return node;
     }
     if (dynamic_cast<nn::CropChannels*>(l) != nullptr) {
-        auto node = std::make_unique<QCropNode>();
         const Shape in = ctx.acts.front().shape();
-        node->keep = l->out_shape(in)[0];
+        const int keep = l->out_shape(in)[0];
+        if (keep == in[0]) return std::make_unique<QSeq>();
+        auto node = std::make_unique<QCropNode>();
+        node->keep = keep;
         advance(ctx, l);
         ctx.frac.resize(static_cast<size_t>(node->keep));
         if (ctx.ops) ctx.ops->push_back(node->name());

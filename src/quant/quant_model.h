@@ -156,7 +156,7 @@ class QPixelUnshuffleNode : public QNode
 class QPadNode : public QNode
 {
   public:
-    int multiple = 4;
+    int want = 0;  ///< channel count to zero-fill up to
     QAct forward(const QAct& x) const override;
     std::string name() const override { return "pad"; }
 };

@@ -52,79 +52,6 @@ conv2d_same(const Tensor& x, const Tensor& w, const std::vector<float>& bias)
     return conv2d(x, w, bias, w.dim(2) / 2);
 }
 
-void
-pixel_unshuffle_into(const Tensor& x, int r, Tensor& out)
-{
-    assert(x.rank() == 3 && x.dim(1) % r == 0 && x.dim(2) % r == 0);
-    const int c = x.dim(0), h = x.dim(1) / r, w = x.dim(2) / r;
-    out.reset({c * r * r, h, w});
-    for (int ic = 0; ic < c; ++ic) {
-        for (int dy = 0; dy < r; ++dy) {
-            for (int dx = 0; dx < r; ++dx) {
-                const int oc = (ic * r + dy) * r + dx;
-                for (int y = 0; y < h; ++y) {
-                    for (int xx = 0; xx < w; ++xx) {
-                        out.at(oc, y, xx) = x.at(ic, y * r + dy, xx * r + dx);
-                    }
-                }
-            }
-        }
-    }
-}
-
-Tensor
-pixel_unshuffle(const Tensor& x, int r)
-{
-    Tensor out;
-    pixel_unshuffle_into(x, r, out);
-    return out;
-}
-
-void
-pixel_shuffle_into(const Tensor& x, int r, Tensor& out)
-{
-    assert(x.rank() == 3 && x.dim(0) % (r * r) == 0);
-    const int c = x.dim(0) / (r * r), h = x.dim(1), w = x.dim(2);
-    out.reset({c, h * r, w * r});
-    for (int oc = 0; oc < c; ++oc) {
-        for (int dy = 0; dy < r; ++dy) {
-            for (int dx = 0; dx < r; ++dx) {
-                const int ic = (oc * r + dy) * r + dx;
-                for (int y = 0; y < h; ++y) {
-                    for (int xx = 0; xx < w; ++xx) {
-                        out.at(oc, y * r + dy, xx * r + dx) = x.at(ic, y, xx);
-                    }
-                }
-            }
-        }
-    }
-}
-
-Tensor
-pixel_shuffle(const Tensor& x, int r)
-{
-    Tensor out;
-    pixel_shuffle_into(x, r, out);
-    return out;
-}
-
-void
-channel_pad_into(const Tensor& x, int want, Tensor& out)
-{
-    assert(x.rank() == 3 && want >= x.dim(0));
-    out.reset({want, x.dim(1), x.dim(2)});
-    std::copy(x.data(), x.data() + x.numel(), out.data());
-    std::fill(out.data() + x.numel(), out.data() + out.numel(), 0.0f);
-}
-
-void
-crop_channels_into(const Tensor& x, int keep, Tensor& out)
-{
-    assert(x.rank() == 3 && keep <= x.dim(0));
-    out.reset({keep, x.dim(1), x.dim(2)});
-    std::copy(x.data(), x.data() + out.numel(), out.data());
-}
-
 double
 mse(const Tensor& a, const Tensor& b)
 {

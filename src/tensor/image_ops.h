@@ -4,7 +4,9 @@
  *
  * These are the golden, obviously-correct implementations that the nn
  * layers, the fast ring convolutions, and the fixed-point simulator are
- * all tested against.
+ * all tested against. The layout moves (pixel shuffle and unshuffle,
+ * channel pad and crop) live in tensor/layout_ops.h, one copy for both
+ * element types.
  */
 #ifndef RINGCNN_TENSOR_IMAGE_OPS_H
 #define RINGCNN_TENSOR_IMAGE_OPS_H
@@ -28,28 +30,6 @@ Tensor conv2d(const Tensor& x, const Tensor& w,
 /** conv2d with "same" padding (pad = K/2). */
 Tensor conv2d_same(const Tensor& x, const Tensor& w,
                    const std::vector<float>& bias);
-
-/**
- * Pixel unshuffle (space-to-depth): [C][H*r][W*r] -> [C*r*r][H][W].
- *
- * Component (dy, dx) of the r x r block maps to channel
- * c*r*r + dy*r + dx, matching the PU ordering used by DnERNet-PU.
- */
-Tensor pixel_unshuffle(const Tensor& x, int r);
-
-/** Pixel shuffle (depth-to-space): [C*r*r][H][W] -> [C][H*r][W*r]. */
-Tensor pixel_shuffle(const Tensor& x, int r);
-
-// Allocation-free variants writing into a caller buffer (reset() to
-// the output shape, capacity reused) — the model executor's arena
-// steps. The allocating versions above are thin wrappers, so each
-// permutation's index math exists exactly once.
-void pixel_unshuffle_into(const Tensor& x, int r, Tensor& out);
-void pixel_shuffle_into(const Tensor& x, int r, Tensor& out);
-/** Zero-pads channels up to exactly `want` (want >= C). */
-void channel_pad_into(const Tensor& x, int want, Tensor& out);
-/** Keeps the first `keep` channels (keep <= C). */
-void crop_channels_into(const Tensor& x, int keep, Tensor& out);
 
 /** Mean squared error between two equally-shaped tensors. */
 double mse(const Tensor& a, const Tensor& b);

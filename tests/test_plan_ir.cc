@@ -6,8 +6,10 @@
  *
  *  - cross-backend signature equivalence across every registered ring
  *    and the three structural topologies (sequential, residual,
- *    two-branch): identical linearization order, identical arena slot
- *    assignment, identical fusion decisions up to the backends'
+ *    two-branch), and on the two served backbones (DnERNet-PU and
+ *    SR4ERNet, whose channel pads and crops only sometimes change the
+ *    channel count): identical linearization order, identical arena
+ *    slot assignment, identical fusion decisions up to the backends'
  *    documented policy difference (signature() normalizes it away);
  *  - the int8 executor and the simulator share one linearizer AND one
  *    fusion policy, so their plans must agree dump-for-dump, fused
@@ -25,6 +27,7 @@
 #include <string>
 
 #include "models/algebra.h"
+#include "models/backbones.h"
 #include "nn/executor.h"
 #include "nn/layer.h"
 #include "nn/model.h"
@@ -54,8 +57,7 @@ topo_name(Topology t)
 }
 
 /** conv/nonlin backbone in one of the three structural topologies,
- *  with pre-aligned channel counts (no pad/crop asymmetry between the
- *  float graph and the quantized conversion). */
+ *  with pre-aligned channel counts (no pad or crop). */
 nn::Model
 make_model(const models::Algebra& alg, Topology topo, int c,
            std::mt19937& rng)
@@ -94,11 +96,11 @@ make_model(const models::Algebra& alg, Topology topo, int c,
 }
 
 std::vector<Tensor>
-calib_images(int c, std::mt19937& rng)
+calib_images(const Shape& in, std::mt19937& rng)
 {
     std::vector<Tensor> out;
     for (int i = 0; i < 2; ++i) {
-        Tensor x({c, 8, 8});
+        Tensor x(in);
         x.rand_uniform(rng, 0.0f, 1.0f);
         out.push_back(std::move(x));
     }
@@ -109,17 +111,12 @@ calib_images(int c, std::mt19937& rng)
  *  the int8/sim pair (same linearizer, same fusion policy) must agree
  *  dump-for-dump. */
 void
-expect_cross_backend_equivalence(const models::Algebra& alg, Topology topo)
+expect_cross_backend_equivalence(const std::string& label, nn::Model& model,
+                                 const models::Algebra& alg, const Shape& in,
+                                 std::mt19937& rng)
 {
-    const std::string label =
-        alg.label() + "/" + topo_name(topo);
-    const int c = alg.pad_channels(8);
-    std::mt19937 rng(61);
-    nn::Model model = make_model(alg, topo, c, rng);
-    const Shape in{c, 8, 8};
-
     nn::ModelExecutor fexec(model, in);
-    quant::QuantizedModel qm(model, calib_images(c, rng));
+    quant::QuantizedModel qm(model, calib_images(in, rng));
     quant::QuantExecutor qexec(qm);
     sim::SimConfig sc;
     sc.n = alg.n();
@@ -134,6 +131,16 @@ expect_cross_backend_equivalence(const models::Algebra& alg, Topology topo)
     EXPECT_EQ(qexec.plan().dump(), sim_plan.dump())
         << label << " int8/sim plans must be identical, fused flags "
         << "and arena slots included";
+}
+
+void
+expect_cross_backend_equivalence(const models::Algebra& alg, Topology topo)
+{
+    const int c = alg.pad_channels(8);
+    std::mt19937 rng(61);
+    nn::Model model = make_model(alg, topo, c, rng);
+    expect_cross_backend_equivalence(alg.label() + "/" + topo_name(topo),
+                                     model, alg, {c, 8, 8}, rng);
 }
 
 TEST(PlanIR, AllRingsAllTopologiesOneSignature)
@@ -165,6 +172,26 @@ TEST(PlanIR, DirectionalVariantsOneSignature)
                                      Topology::kResidual);
 }
 
+TEST(PlanIR, ServedBackbonesOneSignature)
+{
+    // A pad or crop that keeps the channel count (DnERNet-PU's 12 -> 12
+    // at n = 2 and 4, SR4ERNet's 48 -> 48 crop) emits no op in either
+    // backend; the 3 -> 4 pad in front of SR4ERNet stays in both.
+    models::ErnetConfig cfg;
+    cfg.channels = 8;
+    cfg.blocks = 1;
+    std::mt19937 rng(64);
+    for (const std::string ring : {"RI2", "RI4", "RH4", "RO4"}) {
+        const models::Algebra alg = models::Algebra::with_fh(ring);
+        nn::Model dn = models::build_dn_ernet_pu(alg, cfg);
+        expect_cross_backend_equivalence(alg.label() + "/DnERNet-PU", dn,
+                                         alg, {3, 16, 16}, rng);
+        nn::Model sr = models::build_sr4_ernet(alg, cfg);
+        expect_cross_backend_equivalence(alg.label() + "/SR4ERNet", sr, alg,
+                                         {3, 8, 8}, rng);
+    }
+}
+
 TEST(PlanIR, DirectionalEpilogueAnnotatedNotSeparate)
 {
     // conv+dir must survive as ONE op with an epilogue annotation in
@@ -185,7 +212,7 @@ TEST(PlanIR, DirectionalEpilogueAnnotatedNotSeparate)
     EXPECT_EQ(fused, 1);
     EXPECT_EQ(dir_epilogues, 1);
 
-    quant::QuantizedModel qm(model, calib_images(c, rng));
+    quant::QuantizedModel qm(model, calib_images({c, 8, 8}, rng));
     quant::QuantExecutor qexec(qm);
     fused = 0;
     dir_epilogues = 0;

@@ -1,11 +1,17 @@
 /**
  * @file
  * Unit tests for the tensor substrate: indexing, reference conv2d,
- * pixel (un)shuffle round trips, PSNR, resampling kernels.
+ * the layout kernels (pixel (un)shuffle, channel pad and crop) at both
+ * element types, PSNR, resampling kernels.
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "tensor/image_ops.h"
+#include "tensor/layout_ops.h"
 #include "tensor/tensor.h"
 
 namespace ringcnn {
@@ -110,31 +116,146 @@ TEST(Conv2d, MatchesManualComputation)
     EXPECT_NEAR(y.at(0, 2, 3), want, 1e-5);
 }
 
-TEST(PixelShuffle, RoundTrip)
+// The layout kernels are one template for both element types: every
+// case runs on float (the fp32 executor and layers) and int16_t (the
+// int8 executor's code arena), at r = 2, 3 and 4, on shapes r divides
+// and shapes it does not (17x23, 33x47 leave a partial block).
+template <class T>
+class PixelShuffle : public ::testing::Test
 {
-    std::mt19937 rng(3);
-    Tensor x({2, 8, 6});
-    x.randn(rng);
-    const Tensor down = pixel_unshuffle(x, 2);
-    EXPECT_EQ(down.dim(0), 8);
-    EXPECT_EQ(down.dim(1), 4);
-    EXPECT_EQ(down.dim(2), 3);
-    const Tensor up = pixel_shuffle(down, 2);
-    EXPECT_LT(mse(x, up), 1e-14);
+};
+using LayoutElementTypes = ::testing::Types<float, int16_t>;
+TYPED_TEST_SUITE(PixelShuffle, LayoutElementTypes);
+
+/** Distinct integer codes, exact in both element types. */
+template <class T>
+std::vector<T>
+distinct_values(const Shape& s)
+{
+    std::vector<T> v(static_cast<size_t>(shape_numel(s)));
+    for (size_t i = 0; i < v.size(); ++i) {
+        v[i] = static_cast<T>(static_cast<int>(i % 30000) - 15000);
+    }
+    return v;
 }
 
-TEST(PixelShuffle, ChannelOrdering)
+const std::vector<std::pair<int, int>> kPlanes = {
+    {8, 12}, {12, 24}, {17, 23}, {33, 47}};
+
+TYPED_TEST(PixelShuffle, RoundTrip)
 {
-    Tensor x({1, 2, 2});
-    x.at(0, 0, 0) = 1;
-    x.at(0, 0, 1) = 2;
-    x.at(0, 1, 0) = 3;
-    x.at(0, 1, 1) = 4;
-    const Tensor d = pixel_unshuffle(x, 2);
-    EXPECT_FLOAT_EQ(d.at(0, 0, 0), 1);  // (dy=0, dx=0)
-    EXPECT_FLOAT_EQ(d.at(1, 0, 0), 2);  // (dy=0, dx=1)
-    EXPECT_FLOAT_EQ(d.at(2, 0, 0), 3);  // (dy=1, dx=0)
-    EXPECT_FLOAT_EQ(d.at(3, 0, 0), 4);  // (dy=1, dx=1)
+    using T = TypeParam;
+    for (const int r : {2, 3, 4}) {
+        for (const auto& [h, w] : kPlanes) {
+            const Shape in{3, h, w};
+            const std::vector<T> x = distinct_values<T>(in);
+            const Shape ds = layout::pixel_unshuffle_shape(in, r);
+            ASSERT_EQ(ds, (Shape{3 * r * r, h / r, w / r}));
+            std::vector<T> down(static_cast<size_t>(shape_numel(ds)));
+            layout::pixel_unshuffle(x.data(), in, r, down.data());
+            // Every element against the index formula, reading the
+            // source with its own width as row stride.
+            for (int c = 0; c < 3; ++c) {
+                for (int dy = 0; dy < r; ++dy) {
+                    for (int dx = 0; dx < r; ++dx) {
+                        const int oc = (c * r + dy) * r + dx;
+                        for (int y = 0; y < ds[1]; ++y) {
+                            for (int xx = 0; xx < ds[2]; ++xx) {
+                                ASSERT_EQ(down[(static_cast<size_t>(oc) *
+                                                    ds[1] +
+                                                y) * ds[2] +
+                                               xx],
+                                          x[(static_cast<size_t>(c) * h +
+                                             y * r + dy) * w +
+                                            xx * r + dx])
+                                    << "r=" << r << " " << h << "x" << w
+                                    << " c=" << oc << " y=" << y
+                                    << " x=" << xx;
+                            }
+                        }
+                    }
+                }
+            }
+            // Shuffling back restores every whole block.
+            const Shape us = layout::pixel_shuffle_shape(ds, r);
+            ASSERT_EQ(us, (Shape{3, h / r * r, w / r * r}));
+            std::vector<T> up(static_cast<size_t>(shape_numel(us)));
+            layout::pixel_shuffle(down.data(), ds, r, up.data());
+            for (int c = 0; c < 3; ++c) {
+                for (int y = 0; y < us[1]; ++y) {
+                    for (int xx = 0; xx < us[2]; ++xx) {
+                        ASSERT_EQ(
+                            up[(static_cast<size_t>(c) * us[1] + y) * us[2] +
+                               xx],
+                            x[(static_cast<size_t>(c) * h + y) * w + xx])
+                            << "r=" << r << " " << h << "x" << w;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TYPED_TEST(PixelShuffle, ChannelOrdering)
+{
+    using T = TypeParam;
+    // Component (dy, dx) of each r x r block is channel c*r*r + dy*r + dx.
+    const std::vector<T> block{1, 2, 3, 4};
+    std::vector<T> d(4);
+    layout::pixel_unshuffle(block.data(), {1, 2, 2}, 2, d.data());
+    EXPECT_EQ(d, (std::vector<T>{1, 2, 3, 4}));
+
+    for (const int r : {2, 3, 4}) {
+        for (const auto& [h, w] : kPlanes) {
+            const Shape in{2 * r * r, h, w};
+            const std::vector<T> x = distinct_values<T>(in);
+            const Shape os = layout::pixel_shuffle_shape(in, r);
+            ASSERT_EQ(os, (Shape{2, h * r, w * r}));
+            std::vector<T> out(static_cast<size_t>(shape_numel(os)));
+            layout::pixel_shuffle(x.data(), in, r, out.data());
+            for (int c = 0; c < 2; ++c) {
+                for (int oy = 0; oy < os[1]; ++oy) {
+                    for (int ox = 0; ox < os[2]; ++ox) {
+                        const int ic = (c * r + oy % r) * r + ox % r;
+                        ASSERT_EQ(
+                            out[(static_cast<size_t>(c) * os[1] + oy) *
+                                    os[2] +
+                                ox],
+                            x[(static_cast<size_t>(ic) * h + oy / r) * w +
+                              ox / r])
+                            << "r=" << r << " " << h << "x" << w;
+                    }
+                }
+            }
+        }
+    }
+}
+
+template <class T>
+class ChannelPadCrop : public ::testing::Test
+{
+};
+TYPED_TEST_SUITE(ChannelPadCrop, LayoutElementTypes);
+
+TYPED_TEST(ChannelPadCrop, ZeroFillsAndKeepsLeadingChannels)
+{
+    using T = TypeParam;
+    for (const auto& [h, w] : kPlanes) {
+        const Shape in{3, h, w};
+        const size_t plane = static_cast<size_t>(h) * w;
+        const std::vector<T> x = distinct_values<T>(in);
+        // Stale values in the output buffer must not survive the pad.
+        std::vector<T> padded(8 * plane, T(7));
+        layout::channel_pad(x.data(), in, 8, padded.data());
+        for (size_t i = 0; i < padded.size(); ++i) {
+            ASSERT_EQ(padded[i], i < x.size() ? x[i] : T(0)) << i;
+        }
+        std::vector<T> cropped(2 * plane, T(7));
+        layout::crop_channels(x.data(), in, 2, cropped.data());
+        for (size_t i = 0; i < cropped.size(); ++i) {
+            ASSERT_EQ(cropped[i], x[i]) << i;
+        }
+    }
 }
 
 TEST(Psnr, KnownValue)
