@@ -1,10 +1,9 @@
 /**
  * @file
- * End-to-end model inference benchmark: the PR-1 engine path (strict
- * fp64 engines, layer-by-layer walk, per-layer activation allocation)
- * against the compiled ModelExecutor (fp32 SIMD kernels, fused
- * epilogues, activation arena), single- and multi-threaded, plus
- * per-ring engine micro-timings.
+ * End-to-end model inference benchmark: the compiled ModelExecutor
+ * (fp32 SIMD kernels, fused epilogues, activation arena), single- and
+ * multi-threaded, checked once against a layer walk through the fp64
+ * oracle ring_conv_fast(), plus per-ring engine micro-timings.
  *
  * Emits BENCH_model.json (img/s, ns/MAC, per-ring table, fp32-vs-fp64
  * max |Δ|, an `int8` engine row, a `train_step` row comparing the
@@ -100,53 +99,27 @@ bench_backbone(const Ring& ring, int tuple_channels, int layers,
     return nn::Model("bench-backbone", std::move(seq));
 }
 
-/**
- * The PR-1 inference path, reconstructed faithfully: one cached strict
- * fp64 engine per conv (weight transforms cached, as PR 1 did), a
- * fresh activation tensor per layer, nonlinearities through
- * Layer::forward.
- */
-struct Pr1Path
+/** The backbone through the fp64 oracle: ring_conv_fast() per conv,
+ *  Layer::forward for the nonlinearities. */
+Tensor
+fp64_layer_walk(nn::Model& model, const Tensor& x)
 {
-    std::vector<nn::Layer*> layers;
-    std::vector<std::unique_ptr<RingConvEngine>> engines;  // per conv
-
-    Pr1Path(nn::Model& model, int threads)
-    {
-        auto& seq = dynamic_cast<nn::Sequential&>(model.root());
-        for (size_t i = 0; i < seq.size(); ++i) {
-            nn::Layer* l = &seq.at(i);
-            layers.push_back(l);
-            if (auto* rc = dynamic_cast<nn::RingConv2d*>(l)) {
-                RingConvEngineOptions opt;
-                opt.strict_fp64 = true;
-                opt.threads = threads;
-                engines.push_back(std::make_unique<RingConvEngine>(
-                    rc->ring(), rc->weights(), rc->bias(), opt));
-            } else {
-                engines.push_back(nullptr);
-            }
+    auto& seq = dynamic_cast<nn::Sequential&>(model.root());
+    Tensor cur = x;
+    for (size_t i = 0; i < seq.size(); ++i) {
+        nn::Layer& l = seq.at(i);
+        if (auto* rc = dynamic_cast<nn::RingConv2d*>(&l)) {
+            cur = ring_conv_fast(rc->ring(), cur, rc->weights(), rc->bias());
+        } else {
+            cur = l.forward(cur, false);
         }
     }
-
-    Tensor run(const Tensor& x) const
-    {
-        Tensor cur = x;
-        for (size_t i = 0; i < layers.size(); ++i) {
-            if (engines[i]) {
-                cur = engines[i]->run(cur);
-            } else {
-                cur = layers[i]->forward(cur, false);
-            }
-        }
-        return cur;
-    }
-};
+    return cur;
+}
 
 struct RingRow
 {
     std::string ring;
-    double fp64_ns_per_mac = 0.0;
     double fp32_ns_per_mac = 0.0;
 };
 
@@ -264,39 +237,27 @@ main(int argc, char** argv)
                 layers, ri4.n, hw, hw, static_cast<long long>(macs),
                 simd::active_isa(), smoke ? " (smoke)" : "");
 
-    // ---- end-to-end: PR-1 path vs executor, 1 and 8 threads ----
-    const Pr1Path pr1_st(model, 1);
+    // ---- end-to-end: the executor at 1 and 8 threads ----
     nn::ExecutorOptions ex_st;
     ex_st.threads = 1;
     nn::ModelExecutor exec_st(model, in_shape, ex_st);
 
-    // Accuracy first (also warms both paths).
-    const Tensor ref64 = pr1_st.run(x);
-    const Tensor got32 = exec_st.run(x);
-    const double fp_diff = max_abs_diff(ref64, got32);
+    // Accuracy first, untimed (also warms the executor).
+    const double fp_diff =
+        max_abs_diff(fp64_layer_walk(model, x), exec_st.run(x));
 
-    const double pr1_st_ms = time_ms(reps, [&]() { pr1_st.run(x); });
     const double exec_st_ms =
         time_ms(reps, [&]() { exec_st.run_view(x); });
 
-    const Pr1Path pr1_mt(model, 8);
     nn::ExecutorOptions ex_mt;
     ex_mt.threads = 8;
     nn::ModelExecutor exec_mt(model, in_shape, ex_mt);
-    pr1_mt.run(x);          // warm
-    exec_mt.run_view(x);    // warm
-    const double pr1_mt_ms = time_ms(reps, [&]() { pr1_mt.run(x); });
+    exec_mt.run_view(x);  // warm
     const double exec_mt_ms =
         time_ms(reps, [&]() { exec_mt.run_view(x); });
 
-    const double st_speedup = pr1_st_ms / exec_st_ms;
-    const double mt_speedup = pr1_mt_ms / exec_mt_ms;
-    std::printf("  single-thread: PR-1 %.2f ms  executor %.2f ms  "
-                "(%.2fx)\n",
-                pr1_st_ms, exec_st_ms, st_speedup);
-    std::printf("  8-thread:      PR-1 %.2f ms  executor %.2f ms  "
-                "(%.2fx)\n",
-                pr1_mt_ms, exec_mt_ms, mt_speedup);
+    std::printf("  executor:      single-thread %.2f ms  8-thread %.2f ms\n",
+                exec_st_ms, exec_mt_ms);
     std::printf("  fp32 vs fp64 max|d| = %.3g\n", fp_diff);
 
     // ---- int8: scalar quantized walk vs compiled QuantExecutor ----
@@ -1081,26 +1042,16 @@ main(int argc, char** argv)
         Tensor rx({ct * ring.n, hw, hw});
         rx.randn(rng);
 
-        RingConvEngineOptions o64;
-        o64.strict_fp64 = true;
-        o64.threads = 1;
-        const RingConvEngine e64(ring, w, {}, o64);
         RingConvEngineOptions o32;
         o32.threads = 1;
         const RingConvEngine e32(ring, w, {}, o32);
-        e64.run(rx);
         e32.run(rx);
-        const int64_t ring_macs = e64.macs(hw, hw);
         RingRow row;
         row.ring = name;
-        row.fp64_ns_per_mac = time_ms(reps, [&]() { e64.run(rx); }) * 1e6 /
-                              static_cast<double>(ring_macs);
         row.fp32_ns_per_mac = time_ms(reps, [&]() { e32.run(rx); }) * 1e6 /
-                              static_cast<double>(ring_macs);
-        std::printf("  ring %-4s fp64 %.3f ns/MAC   fp32 %.3f ns/MAC   "
-                    "(%.2fx)\n",
-                    name.c_str(), row.fp64_ns_per_mac, row.fp32_ns_per_mac,
-                    row.fp64_ns_per_mac / row.fp32_ns_per_mac);
+                              static_cast<double>(e32.macs(hw, hw));
+        std::printf("  ring %-4s fp32 %.3f ns/MAC\n", name.c_str(),
+                    row.fp32_ns_per_mac);
         rows.push_back(row);
     }
 
@@ -1121,12 +1072,8 @@ main(int argc, char** argv)
                  ri4.n, hw);
     std::fprintf(f, "    \"macs_per_img\": %lld,\n",
                  static_cast<long long>(macs));
-    std::fprintf(f, "    \"pr1_fp64_st_ms\": %.4f,\n", pr1_st_ms);
     std::fprintf(f, "    \"executor_fp32_st_ms\": %.4f,\n", exec_st_ms);
-    std::fprintf(f, "    \"st_speedup\": %.3f,\n", st_speedup);
-    std::fprintf(f, "    \"pr1_fp64_mt_ms\": %.4f,\n", pr1_mt_ms);
     std::fprintf(f, "    \"executor_fp32_mt_ms\": %.4f,\n", exec_mt_ms);
-    std::fprintf(f, "    \"mt_speedup\": %.3f,\n", mt_speedup);
     std::fprintf(f, "    \"img_per_s_st\": %.3f,\n", 1000.0 / exec_st_ms);
     std::fprintf(f, "    \"img_per_s_mt\": %.3f,\n", 1000.0 / exec_mt_ms);
     std::fprintf(f, "    \"ns_per_mac_st\": %.5f,\n",
@@ -1274,11 +1221,8 @@ main(int argc, char** argv)
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"rings\": [\n");
     for (size_t i = 0; i < rows.size(); ++i) {
-        std::fprintf(f,
-                     "    {\"ring\": \"%s\", \"fp64_ns_per_mac\": %.5f, "
-                     "\"fp32_ns_per_mac\": %.5f}%s\n",
-                     rows[i].ring.c_str(), rows[i].fp64_ns_per_mac,
-                     rows[i].fp32_ns_per_mac,
+        std::fprintf(f, "    {\"ring\": \"%s\", \"fp32_ns_per_mac\": %.5f}%s\n",
+                     rows[i].ring.c_str(), rows[i].fp32_ns_per_mac,
                      i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

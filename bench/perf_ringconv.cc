@@ -4,7 +4,8 @@
  * ring convolution (FRCONV) versus the isomorphic real convolution, per
  * ring, plus the RingConvEngine execution paths (weight-transform
  * caching, row-contiguous kernels, threading, batching) against the
- * seed per-pixel FRCONV loop they replaced.
+ * seed per-pixel FRCONV loop they replaced, which lives on as the fp64
+ * oracle ring_conv_fast().
  */
 #include <benchmark/benchmark.h>
 
@@ -18,98 +19,6 @@
 namespace {
 
 using namespace ringcnn;
-
-/**
- * The pre-engine ring_conv_fast implementation, kept verbatim as the
- * baseline the engine speedups are measured against: re-derives the
- * filter transform every call, walks pixels through Tensor::at(), and
- * runs single-threaded.
- */
-Tensor
-seed_ring_conv_fast(const Ring& ring, const Tensor& x,
-                    const RingConvWeights& w, const std::vector<float>& bias)
-{
-    const int n = ring.n;
-    const int m = ring.fast.m();
-    const int ci_t = x.dim(0) / n;
-    const int h = x.dim(1), wd = x.dim(2);
-    const Matd& tg = ring.fast.tg;
-    const Matd& tx = ring.fast.tx;
-    const Matd& tz = ring.fast.tz;
-    const int pad = w.k / 2;
-
-    Tensor xt({ci_t * m, h, wd});
-    for (int t = 0; t < ci_t; ++t) {
-        for (int r = 0; r < m; ++r) {
-            for (int y = 0; y < h; ++y) {
-                for (int xx = 0; xx < wd; ++xx) {
-                    double acc = 0.0;
-                    for (int j = 0; j < n; ++j) {
-                        const double c = tx.at(r, j);
-                        if (c != 0.0) acc += c * x.at(t * n + j, y, xx);
-                    }
-                    xt.at(t * m + r, y, xx) = static_cast<float>(acc);
-                }
-            }
-        }
-    }
-
-    std::vector<double> gt(static_cast<size_t>(w.co_t) * ci_t * w.k * w.k * m);
-    auto gt_at = [&](int co, int ci, int ky, int kx, int r) -> double& {
-        return gt[(((static_cast<size_t>(co) * ci_t + ci) * w.k + ky) * w.k +
-                   kx) * m + r];
-    };
-    for (int co = 0; co < w.co_t; ++co) {
-        for (int ci = 0; ci < ci_t; ++ci) {
-            for (int ky = 0; ky < w.k; ++ky) {
-                for (int kx = 0; kx < w.k; ++kx) {
-                    for (int r = 0; r < m; ++r) {
-                        double acc = 0.0;
-                        for (int k = 0; k < n; ++k) {
-                            acc += tg.at(r, k) * w.at(co, ci, ky, kx, k);
-                        }
-                        gt_at(co, ci, ky, kx, r) = acc;
-                    }
-                }
-            }
-        }
-    }
-
-    Tensor out({w.co_t * n, h, wd});
-    std::vector<double> acc(static_cast<size_t>(m));
-    for (int co = 0; co < w.co_t; ++co) {
-        for (int y = 0; y < h; ++y) {
-            for (int xx = 0; xx < wd; ++xx) {
-                std::fill(acc.begin(), acc.end(), 0.0);
-                for (int ci = 0; ci < ci_t; ++ci) {
-                    for (int ky = 0; ky < w.k; ++ky) {
-                        const int iy = y + ky - pad;
-                        if (iy < 0 || iy >= h) continue;
-                        for (int kx = 0; kx < w.k; ++kx) {
-                            const int ix = xx + kx - pad;
-                            if (ix < 0 || ix >= wd) continue;
-                            for (int r = 0; r < m; ++r) {
-                                acc[static_cast<size_t>(r)] +=
-                                    gt_at(co, ci, ky, kx, r) *
-                                    xt.at(ci * m + r, iy, ix);
-                            }
-                        }
-                    }
-                }
-                for (int i = 0; i < n; ++i) {
-                    double z = bias.empty()
-                                   ? 0.0
-                                   : bias[static_cast<size_t>(co * n + i)];
-                    for (int r = 0; r < m; ++r) {
-                        z += tz.at(i, r) * acc[static_cast<size_t>(r)];
-                    }
-                    out.at(co * n + i, y, xx) = static_cast<float>(z);
-                }
-            }
-        }
-    }
-    return out;
-}
 
 struct Setup
 {
@@ -136,15 +45,18 @@ make_setup(const std::string& name, int real_channels = 16, int side = 32)
     return s;
 }
 
+/** The fp64 oracle: the seed's serial per-pixel loop nest. */
 void
-bm_frconv(benchmark::State& state, const std::string& name)
+bm_frconv(benchmark::State& state, const std::string& name, int ch = 16,
+          int side = 32)
 {
-    Setup s = make_setup(name);
+    Setup s = make_setup(name, ch, side);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             ring_conv_fast(*s.ring, s.x, s.w, s.bias));
     }
-    state.SetLabel(name + " m=" + std::to_string(s.ring->fast.m()));
+    state.SetLabel(name + " m=" + std::to_string(s.ring->fast.m()) +
+                   " seed per-pixel loop");
 }
 
 void
@@ -159,34 +71,20 @@ bm_rconv_reference(benchmark::State& state, const std::string& name)
 
 // ---- Engine vs seed: the acceptance layer is 64 real channels (16
 // tuples of n=4) at 128x128, the "as fast as the hardware allows" hot
-// path. Compare wall time ("Time" column) of _seed vs _engine.
-
-void
-bm_frconv_seed(benchmark::State& state, const std::string& name, int ch,
-               int side)
-{
-    Setup s = make_setup(name, ch, side);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(seed_ring_conv_fast(*s.ring, s.x, s.w,
-                                                     s.bias));
-    }
-    state.SetLabel(name + " seed per-pixel loop");
-}
+// path. Compare wall time ("Time" column) of _seed vs the engine rows.
 
 void
 bm_frconv_engine(benchmark::State& state, const std::string& name, int ch,
-                 int side, int threads, bool strict_fp64 = false)
+                 int side, int threads)
 {
     Setup s = make_setup(name, ch, side);
     RingConvEngineOptions opt;
     opt.threads = threads;
-    opt.strict_fp64 = strict_fp64;
     const RingConvEngine engine(*s.ring, s.w, s.bias, opt);
     for (auto _ : state) {
         benchmark::DoNotOptimize(engine.run(s.x));
     }
-    state.SetLabel(name + (strict_fp64 ? " fp64" : " fp32") +
-                   " engine, threads=" +
+    state.SetLabel(name + " fp32 engine, threads=" +
                    (threads > 0 ? std::to_string(threads) : "auto"));
 }
 
@@ -231,8 +129,8 @@ void
 bm_frconv_engine_cold(benchmark::State& state, const std::string& name,
                       int ch, int side)
 {
-    // Engine constructed inside the loop: measures what the stateless
-    // ring_conv_fast() wrapper pays without weight-transform caching.
+    // Engine constructed inside the loop: what a one-shot caller pays
+    // without weight-transform caching.
     Setup s = make_setup(name, ch, side);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
@@ -284,12 +182,10 @@ BENCHMARK_CAPTURE(bm_rconv_reference, RI4, std::string("RI4"));
 BENCHMARK_CAPTURE(bm_directional_relu, n2, 2);
 BENCHMARK_CAPTURE(bm_directional_relu, n4, 4);
 // Acceptance config: 64 real channels (n=4), 128x128.
-BENCHMARK_CAPTURE(bm_frconv_seed, RH4_64x128x128, std::string("RH4"), 64,
+BENCHMARK_CAPTURE(bm_frconv, RH4_64x128x128_seed, std::string("RH4"), 64,
                   128)->UseRealTime();
 BENCHMARK_CAPTURE(bm_frconv_engine, RH4_64x128x128_1thread,
                   std::string("RH4"), 64, 128, 1)->UseRealTime();
-BENCHMARK_CAPTURE(bm_frconv_engine, RH4_64x128x128_1thread_fp64,
-                  std::string("RH4"), 64, 128, 1, true)->UseRealTime();
 BENCHMARK_CAPTURE(bm_frconv_engine, RH4_64x128x128, std::string("RH4"), 64,
                   128, 0)->UseRealTime();
 BENCHMARK_CAPTURE(bm_frconv_engine_fused_dir, RI4_64x128x128,
@@ -299,7 +195,7 @@ BENCHMARK_CAPTURE(bm_frconv_engine_cold, RH4_64x128x128, std::string("RH4"),
                   64, 128)->UseRealTime();
 BENCHMARK_CAPTURE(bm_frconv_engine_batch, RH4_64x128x128_b4,
                   std::string("RH4"), 64, 128, 4)->UseRealTime();
-BENCHMARK_CAPTURE(bm_frconv_seed, RI4_64x128x128, std::string("RI4"), 64,
+BENCHMARK_CAPTURE(bm_frconv, RI4_64x128x128_seed, std::string("RI4"), 64,
                   128)->UseRealTime();
 BENCHMARK_CAPTURE(bm_frconv_engine, RI4_64x128x128, std::string("RI4"), 64,
                   128, 0)->UseRealTime();

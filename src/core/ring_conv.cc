@@ -1,6 +1,7 @@
 #include "core/ring_conv.h"
 
-#include "core/ring_conv_engine.h"
+#include <algorithm>
+
 #include "tensor/image_ops.h"
 #include "util/check.h"
 
@@ -116,14 +117,110 @@ Tensor
 ring_conv_fast(const Ring& ring, const Tensor& x, const RingConvWeights& w,
                const std::vector<float>& bias)
 {
-    // Thin wrapper kept for API stability; the cached, parallel
-    // implementation lives in RingConvEngine. A one-shot engine still
-    // pays the filter transform each call — callers on a hot loop
-    // should hold an engine instead. Runs the strict fp64 kernels so
-    // this entry point stays bit-identical to the seed implementation.
-    RingConvEngineOptions opt;
-    opt.strict_fp64 = true;
-    return RingConvEngine(ring, w, bias, opt).run(x);
+    const int n = ring.n;
+    RINGCNN_CHECK(w.n == n, "ring weights built for n=" +
+                                std::to_string(w.n) + " but ring '" +
+                                ring.name + "' has n=" + std::to_string(n));
+    RINGCNN_CHECK(w.co_t > 0 && w.ci_t > 0,
+                  "ring weights need positive tuple channel counts");
+    RINGCNN_CHECK(w.k > 0 && w.k % 2 == 1,
+                  "kernel size must be odd and positive, got " +
+                      std::to_string(w.k));
+    RINGCNN_CHECK(bias.empty() ||
+                      static_cast<int>(bias.size()) == w.co_t * n,
+                  "bias must be empty or co_t*n=" +
+                      std::to_string(w.co_t * n) + " entries, got " +
+                      std::to_string(bias.size()));
+    RINGCNN_CHECK(x.rank() == 3, "FRCONV input must be a CHW tensor, got " +
+                                     x.shape_str());
+    RINGCNN_CHECK(x.dim(0) == w.ci_t * n,
+                  "FRCONV input has " + std::to_string(x.dim(0)) +
+                      " channels but the weights expect ci_t*n=" +
+                      std::to_string(w.ci_t * n));
+
+    const int m = ring.fast.m();
+    const int ci_t = x.dim(0) / n;
+    const int h = x.dim(1), wd = x.dim(2);
+    const Matd& tg = ring.fast.tg;
+    const Matd& tx = ring.fast.tx;
+    const Matd& tz = ring.fast.tz;
+    const int pad = w.k / 2;
+
+    // Data transform, eq. (6): xt[t*m+r] = sum_j Tx[r][j] x[t*n+j].
+    Tensor xt({ci_t * m, h, wd});
+    for (int t = 0; t < ci_t; ++t) {
+        for (int r = 0; r < m; ++r) {
+            for (int y = 0; y < h; ++y) {
+                for (int xx = 0; xx < wd; ++xx) {
+                    double acc = 0.0;
+                    for (int j = 0; j < n; ++j) {
+                        const double c = tx.at(r, j);
+                        if (c != 0.0) acc += c * x.at(t * n + j, y, xx);
+                    }
+                    xt.at(t * m + r, y, xx) = static_cast<float>(acc);
+                }
+            }
+        }
+    }
+
+    // Filter transform, eq. (6): gt[r] = sum_k Tg[r][k] g_k.
+    std::vector<double> gt(static_cast<size_t>(w.co_t) * ci_t * w.k * w.k * m);
+    auto gt_at = [&](int co, int ci, int ky, int kx, int r) -> double& {
+        return gt[(((static_cast<size_t>(co) * ci_t + ci) * w.k + ky) * w.k +
+                   kx) * m + r];
+    };
+    for (int co = 0; co < w.co_t; ++co) {
+        for (int ci = 0; ci < ci_t; ++ci) {
+            for (int ky = 0; ky < w.k; ++ky) {
+                for (int kx = 0; kx < w.k; ++kx) {
+                    for (int r = 0; r < m; ++r) {
+                        double acc = 0.0;
+                        for (int k = 0; k < n; ++k) {
+                            acc += tg.at(r, k) * w.at(co, ci, ky, kx, k);
+                        }
+                        gt_at(co, ci, ky, kx, r) = acc;
+                    }
+                }
+            }
+        }
+    }
+
+    // Component-wise convolutions accumulated over input tuples
+    // (eq. (7)), then the reconstruction transform plus bias (eq. (8)).
+    Tensor out({w.co_t * n, h, wd});
+    std::vector<double> acc(static_cast<size_t>(m));
+    for (int co = 0; co < w.co_t; ++co) {
+        for (int y = 0; y < h; ++y) {
+            for (int xx = 0; xx < wd; ++xx) {
+                std::fill(acc.begin(), acc.end(), 0.0);
+                for (int ci = 0; ci < ci_t; ++ci) {
+                    for (int ky = 0; ky < w.k; ++ky) {
+                        const int iy = y + ky - pad;
+                        if (iy < 0 || iy >= h) continue;
+                        for (int kx = 0; kx < w.k; ++kx) {
+                            const int ix = xx + kx - pad;
+                            if (ix < 0 || ix >= wd) continue;
+                            for (int r = 0; r < m; ++r) {
+                                acc[static_cast<size_t>(r)] +=
+                                    gt_at(co, ci, ky, kx, r) *
+                                    xt.at(ci * m + r, iy, ix);
+                            }
+                        }
+                    }
+                }
+                for (int i = 0; i < n; ++i) {
+                    double z = bias.empty()
+                                   ? 0.0
+                                   : bias[static_cast<size_t>(co * n + i)];
+                    for (int r = 0; r < m; ++r) {
+                        z += tz.at(i, r) * acc[static_cast<size_t>(r)];
+                    }
+                    out.at(co * n + i, y, xx) = static_cast<float>(z);
+                }
+            }
+        }
+    }
+    return out;
 }
 
 Tensor

@@ -94,9 +94,13 @@ Tensor ring_conv_reference(const Ring& ring, const Tensor& x,
  * component-wise 2-D convolutions per channel pair, accumulate over
  * input tuples, then apply the reconstruction transform once.
  *
- * Thin stateless wrapper over RingConvEngine (core/ring_conv_engine.h);
- * hot loops should construct an engine once per weight set to reuse the
- * cached filter transform. Shape mismatches throw std::invalid_argument.
+ * The fp64 FRCONV oracle: the seed's serial per-pixel loop nest, with
+ * every transform and accumulation in double and one rounding to float
+ * per stored value. It shares no code with RingConvEngine
+ * (core/ring_conv_engine.h), the fp32 production path it pins, and
+ * accepts rings of any m. It multiplies every transformed filter tap,
+ * zeros included, so an Inf/NaN activation spreads exactly as in the
+ * seed. Shape mismatches throw std::invalid_argument.
  */
 Tensor ring_conv_fast(const Ring& ring, const Tensor& x,
                       const RingConvWeights& w,

@@ -34,42 +34,30 @@ RingConvEngine::RingConvEngine(const Ring& ring, const RingConvWeights& w,
     : ring_(&ring), co_t_(0), ci_t_(0), k_(0), n_(ring.n),
       m_(ring.fast.m()), opt_(opt)
 {
-    RINGCNN_CHECK(opt_.strict_fp64 || (m_ <= kMaxTuple && n_ <= kMaxTuple),
+    RINGCNN_CHECK(m_ <= kMaxTuple && n_ <= kMaxTuple,
                   "ring '" + ring.name + "' has m=" + std::to_string(m_) +
                       ", n=" + std::to_string(n_) +
-                      "; fp32 engines support m, n <= " +
+                      "; engines support m, n <= " +
                       std::to_string(kMaxTuple) +
-                      " (strict_fp64 engines accept any m)");
+                      " (ring_conv_fast accepts any m)");
     // The data/reconstruction transforms depend only on the ring.
     const Matd& tx = ring.fast.tx;
-    tx_nz_.resize(static_cast<size_t>(m_));
     tx32_nz_.resize(static_cast<size_t>(m_));
-    for (int r = 0; r < m_; ++r) {
-        for (int j = 0; j < n_; ++j) {
-            const double c = tx.at(r, j);
-            if (c != 0.0) {
-                tx_nz_[static_cast<size_t>(r)].emplace_back(j, c);
-                tx32_nz_[static_cast<size_t>(r)].emplace_back(
-                    j, static_cast<float>(c));
-            }
-        }
-    }
     tx_alias_.assign(static_cast<size_t>(m_), -1);
     for (int r = 0; r < m_; ++r) {
-        const auto& nz = tx_nz_[static_cast<size_t>(r)];
-        if (nz.size() == 1 && nz[0].second == 1.0) {
+        auto& nz = tx32_nz_[static_cast<size_t>(r)];
+        for (int j = 0; j < n_; ++j) {
+            const double c = tx.at(r, j);
+            if (c != 0.0) nz.emplace_back(j, static_cast<float>(c));
+        }
+        if (nz.size() == 1 && tx.at(r, nz[0].first) == 1.0) {
             tx_alias_[static_cast<size_t>(r)] = nz[0].first;
         }
     }
     const Matd& tz = ring.fast.tz;
-    tz_.resize(static_cast<size_t>(n_) * m_);
-    tz32_.resize(static_cast<size_t>(n_) * m_);
     tz32_nz_.resize(static_cast<size_t>(n_));
     for (int i = 0; i < n_; ++i) {
         for (int r = 0; r < m_; ++r) {
-            tz_[static_cast<size_t>(i) * m_ + r] = tz.at(i, r);
-            tz32_[static_cast<size_t>(i) * m_ + r] =
-                static_cast<float>(tz.at(i, r));
             if (tz.at(i, r) != 0.0) {
                 tz32_nz_[static_cast<size_t>(i)].emplace_back(
                     r, static_cast<float>(tz.at(i, r)));
@@ -109,8 +97,7 @@ RingConvEngine::set_weights(const RingConvWeights& w, std::vector<float> bias)
     // Filter transform, derived once per weight set:
     // gt[co][r][ci][ky][kx] = sum_k Tg[r][k] g_k  (eq. (6)).
     const Matd& tg = ring_->fast.tg;
-    gt_.assign(static_cast<size_t>(co_t_) * m_ * ci_t_ * k_ * k_, 0.0);
-    gt32_.assign(gt_.size(), 0.0f);
+    gt32_.assign(static_cast<size_t>(co_t_) * m_ * ci_t_ * k_ * k_, 0.0f);
     for (int co = 0; co < co_t_; ++co) {
         for (int ci = 0; ci < ci_t_; ++ci) {
             for (int ky = 0; ky < k_; ++ky) {
@@ -123,7 +110,6 @@ RingConvEngine::set_weights(const RingConvWeights& w, std::vector<float> bias)
                         const size_t at =
                             (((static_cast<size_t>(co) * m_ + r) * ci_t_ +
                               ci) * k_ + ky) * k_ + kx;
-                        gt_[at] = acc;
                         gt32_[at] = static_cast<float>(acc);
                     }
                 }
@@ -140,11 +126,9 @@ RingConvEngine::set_weights(const RingConvWeights& w, std::vector<float> bias)
         util::fault_flip_bit(gt32_.data(), gt32_.size(), fault_token);
     }
 
-    bias_.assign(static_cast<size_t>(co_t_) * n_, 0.0);
-    bias32_.assign(bias_.size(), 0.0f);
+    bias32_.assign(static_cast<size_t>(co_t_) * n_, 0.0f);
     bias32_zero_ = true;
     for (size_t i = 0; i < bias.size(); ++i) {
-        bias_[i] = bias[i];
         bias32_[i] = bias[i];
         if (bias[i] != 0.0f) bias32_zero_ = false;
     }
@@ -185,8 +169,6 @@ void
 RingConvEngine::set_epilogue(ConvEpilogue epilogue, const Matd* u,
                              const Matd* v)
 {
-    RINGCNN_CHECK(epilogue == ConvEpilogue::kNone || !opt_.strict_fp64,
-                  "fused epilogues are only available on the fp32 path");
     if (epilogue == ConvEpilogue::kDirectional) {
         RINGCNN_CHECK(u != nullptr && v != nullptr,
                       "directional epilogue needs the (u, v) transforms");
@@ -252,28 +234,6 @@ RingConvEngine::work(int h, int w) const
 }
 
 void
-RingConvEngine::transform_plane_f64(const Tensor& x, int t, int r,
-                                    float* dst,
-                                    std::vector<double>& acc) const
-{
-    // xt[t*m+r] = sum_j Tx[r][j] x[t*n+j]  (eq. (6)), accumulated in
-    // double per element with exact zeros skipped, as in the seed loop.
-    const int h = x.dim(1), wd = x.dim(2);
-    const int64_t plane = static_cast<int64_t>(h) * wd;
-    acc.assign(static_cast<size_t>(plane), 0.0);
-    for (const auto& [j, c] : tx_nz_[static_cast<size_t>(r)]) {
-        const float* src =
-            x.data() + static_cast<int64_t>(t * n_ + j) * plane;
-        for (int64_t i = 0; i < plane; ++i) {
-            acc[static_cast<size_t>(i)] += c * src[i];
-        }
-    }
-    for (int64_t i = 0; i < plane; ++i) {
-        dst[i] = static_cast<float>(acc[static_cast<size_t>(i)]);
-    }
-}
-
-void
 RingConvEngine::transform_plane_f32(const Tensor& x, int t, int r,
                                     float* dst) const
 {
@@ -295,72 +255,6 @@ RingConvEngine::transform_plane_f32(const Tensor& x, int t, int r,
         ++cnt;
     }
     simd::matvec_rows_f32(dst, srcs, coeffs, cnt, plane);
-}
-
-void
-RingConvEngine::conv_band_f64(const float* xt, int h, int wd, int co,
-                              int y0, int y1, Tensor& out,
-                              RingConvScratch::Worker& scratch) const
-{
-    const int pad = k_ / 2;
-    const int bh = y1 - y0;
-    const int64_t plane = static_cast<int64_t>(h) * wd;
-
-    // Component-wise convolutions accumulated over input tuples
-    // (eq. (7)): one double accumulation band per component r, filled
-    // in (ci, ky, kx) order — the seed's per-element order.
-    scratch.z64.assign(static_cast<size_t>(m_) * bh * wd, 0.0);
-    std::vector<double>& z = scratch.z64;
-    for (int r = 0; r < m_; ++r) {
-        double* zr = z.data() + static_cast<size_t>(r) * bh * wd;
-        for (int ci = 0; ci < ci_t_; ++ci) {
-            const float* x_ch =
-                xt + static_cast<int64_t>(ci * m_ + r) * plane;
-            const double* g_tap =
-                gt_.data() + ((static_cast<size_t>(co) * m_ + r) * ci_t_ +
-                              ci) * k_ * k_;
-            for (int ky = 0; ky < k_; ++ky) {
-                const int yy_lo = std::max(y0, pad - ky);
-                const int yy_hi = std::min(y1, h + pad - ky);
-                for (int kx = 0; kx < k_; ++kx) {
-                    const double wv = g_tap[static_cast<size_t>(ky) * k_ + kx];
-                    if (wv == 0.0) continue;
-                    const int x_lo = std::max(0, pad - kx);
-                    const int x_hi = std::min(wd, wd + pad - kx);
-                    const int shift_y = ky - pad, shift_x = kx - pad;
-                    for (int y = yy_lo; y < yy_hi; ++y) {
-                        double* zrow =
-                            zr + static_cast<size_t>(y - y0) * wd;
-                        const float* irow = x_ch +
-                            static_cast<int64_t>(y + shift_y) * wd + shift_x;
-                        for (int xx = x_lo; xx < x_hi; ++xx) {
-                            zrow[xx] += wv * irow[xx];
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Reconstruction transform plus bias (eq. (8)), ascending r.
-    for (int i = 0; i < n_; ++i) {
-        const double b = bias_[static_cast<size_t>(co) * n_ + i];
-        const double* tzrow = tz_.data() + static_cast<size_t>(i) * m_;
-        float* o_ch = out.data() +
-            (static_cast<int64_t>(co * n_ + i) * h + y0) * wd;
-        for (int y = 0; y < bh; ++y) {
-            float* orow = o_ch + static_cast<int64_t>(y) * wd;
-            const double* zrow0 = z.data() + static_cast<size_t>(y) * wd;
-            for (int xx = 0; xx < wd; ++xx) {
-                double v = b;
-                const double* zp = zrow0 + xx;
-                for (int r = 0; r < m_; ++r) {
-                    v += tzrow[r] * zp[static_cast<size_t>(r) * bh * wd];
-                }
-                orow[xx] = static_cast<float>(v);
-            }
-        }
-    }
 }
 
 void
@@ -622,13 +516,12 @@ RingConvEngine::run_into(const Tensor* const* xs, Tensor* outs, int count,
     }
 
     // Per-image transformed-input buffers; one flat (img, tuple,
-    // component) task per plane. On the fp32 path, components whose Tx
-    // row is a unit selector are never materialized — their
-    // plane-pointer table entry aliases the input tensor (for the RI
-    // rings that is EVERY component, so the transform stage and its
-    // 2x-image memory traffic vanish entirely).
-    const bool strict = opt_.strict_fp64;
-    bool needs_xt = strict;
+    // component) task per plane. Components whose Tx row is a unit
+    // selector are never materialized — their plane-pointer table entry
+    // aliases the input tensor (for the RI rings that is EVERY
+    // component, so the transform stage and its 2x-image memory traffic
+    // vanish entirely).
+    bool needs_xt = false;
     for (int r = 0; r < m_; ++r) {
         if (tx_alias_[static_cast<size_t>(r)] < 0) needs_xt = true;
     }
@@ -644,48 +537,39 @@ RingConvEngine::run_into(const Tensor* const* xs, Tensor* outs, int count,
                 sc.xt[static_cast<size_t>(b)].resize(need);
             }
         }
-        util::parallel_for_worker(
+        util::parallel_for(
             static_cast<int64_t>(count) * ci_t_ * m_,
-            [&](int worker, int64_t id) {
+            [&](int64_t id) {
                 const int b = static_cast<int>(id / (ci_t_ * m_));
                 const int p = static_cast<int>(id % (ci_t_ * m_));
-                if (!strict && tx_alias_[static_cast<size_t>(p % m_)] >= 0) {
+                if (tx_alias_[static_cast<size_t>(p % m_)] >= 0) {
                     return;  // aliased in place, nothing to materialize
                 }
                 const Tensor& x = *xs[b];
                 const int64_t plane =
                     static_cast<int64_t>(x.dim(1)) * x.dim(2);
-                float* dst =
-                    sc.xt[static_cast<size_t>(b)].data() + p * plane;
-                if (strict) {
-                    transform_plane_f64(
-                        x, p / m_, p % m_, dst,
-                        sc.workers[static_cast<size_t>(worker)].acc64);
-                } else {
-                    transform_plane_f32(x, p / m_, p % m_, dst);
-                }
+                transform_plane_f32(
+                    x, p / m_, p % m_,
+                    sc.xt[static_cast<size_t>(b)].data() + p * plane);
             },
             threads);
     }
-    if (!strict) {
-        if (sc.xplanes.size() < static_cast<size_t>(count)) {
-            sc.xplanes.resize(static_cast<size_t>(count));
-        }
-        for (int b = 0; b < count; ++b) {
-            const int64_t plane =
-                static_cast<int64_t>(xs[b]->dim(1)) * xs[b]->dim(2);
-            auto& pl = sc.xplanes[static_cast<size_t>(b)];
-            pl.resize(static_cast<size_t>(ci_t_) * m_);
-            for (int t = 0; t < ci_t_; ++t) {
-                for (int r = 0; r < m_; ++r) {
-                    const int p = t * m_ + r;
-                    const int j = tx_alias_[static_cast<size_t>(r)];
-                    pl[static_cast<size_t>(p)] =
-                        j >= 0 ? xs[b]->data() +
-                                     static_cast<int64_t>(t * n_ + j) * plane
-                               : sc.xt[static_cast<size_t>(b)].data() +
-                                     p * plane;
-                }
+    if (sc.xplanes.size() < static_cast<size_t>(count)) {
+        sc.xplanes.resize(static_cast<size_t>(count));
+    }
+    for (int b = 0; b < count; ++b) {
+        const int64_t plane =
+            static_cast<int64_t>(xs[b]->dim(1)) * xs[b]->dim(2);
+        auto& pl = sc.xplanes[static_cast<size_t>(b)];
+        pl.resize(static_cast<size_t>(ci_t_) * m_);
+        for (int t = 0; t < ci_t_; ++t) {
+            for (int r = 0; r < m_; ++r) {
+                const int p = t * m_ + r;
+                const int j = tx_alias_[static_cast<size_t>(r)];
+                pl[static_cast<size_t>(p)] =
+                    j >= 0 ? xs[b]->data() +
+                                 static_cast<int64_t>(t * n_ + j) * plane
+                           : sc.xt[static_cast<size_t>(b)].data() + p * plane;
             }
         }
     }
@@ -729,22 +613,20 @@ RingConvEngine::run_into(const Tensor* const* xs, Tensor* outs, int count,
             z_need = std::max(z_need, static_cast<size_t>(m_) * bh * wd);
         }
     }
-    // Every worker's fp32 buffers are sized here, on the calling thread:
-    // a buffer a pool worker allocated would come from that thread's
+    // Every worker's buffers are sized here, on the calling thread: a
+    // buffer a pool worker allocated would come from that thread's
     // malloc arena, whose top malloc_trim does not return to the system
     // after the owning executor is gone.
-    if (!strict) {
-        for (int w = 0; w < threads; ++w) {
-            RingConvScratch::Worker& ws = sc.workers[static_cast<size_t>(w)];
-            if (ws.stage_size < stage_need) {
-                ws.stage.reset(new float[stage_need]);
-                ws.stage_size = stage_need;
-            }
-            if (ws.z32.size() < z_need) ws.z32.resize(z_need);
-            ws.plane_rows.resize(static_cast<size_t>(ci_t_) * m_);
-            ws.tap_src.resize(static_cast<size_t>(ci_t_) * k_ * k_);
-            ws.tap_w.resize(static_cast<size_t>(ci_t_) * k_ * k_);
+    for (int w = 0; w < threads; ++w) {
+        RingConvScratch::Worker& ws = sc.workers[static_cast<size_t>(w)];
+        if (ws.stage_size < stage_need) {
+            ws.stage.reset(new float[stage_need]);
+            ws.stage_size = stage_need;
         }
+        if (ws.z32.size() < z_need) ws.z32.resize(z_need);
+        ws.plane_rows.resize(static_cast<size_t>(ci_t_) * m_);
+        ws.tap_src.resize(static_cast<size_t>(ci_t_) * k_ * k_);
+        ws.tap_w.resize(static_cast<size_t>(ci_t_) * k_ * k_);
     }
     // ABFT capture: one private cell block of per_chunk * n doubles per
     // task, so no band pass races another's accumulator. Reduced below
@@ -752,7 +634,7 @@ RingConvEngine::run_into(const Tensor* const* xs, Tensor* outs, int count,
     const bool capture = interior_sums != nullptr;
     const size_t cell_stride = static_cast<size_t>(per_chunk) * n_;
     std::vector<double> cells;
-    if (capture && !strict) cells.assign(tasks.size() * cell_stride, 0.0);
+    if (capture) cells.assign(tasks.size() * cell_stride, 0.0);
     util::parallel_for_worker(
         static_cast<int64_t>(tasks.size()),
         [&](int worker, int64_t i) {
@@ -767,55 +649,25 @@ RingConvEngine::run_into(const Tensor* const* xs, Tensor* outs, int count,
             RingConvScratch::Worker& ws =
                 sc.workers[static_cast<size_t>(worker)];
             const int h = xs[t.img]->dim(1), wd = xs[t.img]->dim(2);
-            if (strict) {
-                for (int co = t.co0; co < t.co1; ++co) {
-                    conv_band_f64(sc.xt[static_cast<size_t>(t.img)].data(), h,
-                                  wd, co, t.y0, t.y1, outs[t.img], ws);
-                }
-            } else {
-                double* cell = capture ? cells.data() +
-                                             static_cast<size_t>(i) * cell_stride
-                                       : nullptr;
-                conv_band_f32(sc.xplanes[static_cast<size_t>(t.img)].data(),
-                              h, wd, t.co0, t.co1, t.y0, t.y1, outs[t.img],
-                              ws, cell);
-            }
+            double* cell = capture ? cells.data() +
+                                         static_cast<size_t>(i) * cell_stride
+                                   : nullptr;
+            conv_band_f32(sc.xplanes[static_cast<size_t>(t.img)].data(), h,
+                          wd, t.co0, t.co1, t.y0, t.y1, outs[t.img], ws,
+                          cell);
         },
         threads);
     if (interior_sums != nullptr) {
         interior_sums->assign(
             static_cast<size_t>(count) * co_t_ * n_, 0.0);
-        if (strict) {
-            // Strict engines have no epilogue (set_epilogue throws), so
-            // the finished output IS the pre-epilogue result: one
-            // serial interior pass per image.
-            const int pad = k_ / 2;
-            for (int b = 0; b < count; ++b) {
-                const int h = outs[b].dim(1), wd = outs[b].dim(2);
-                for (int c = 0; c < co_t_ * n_; ++c) {
-                    double s = 0.0;
-                    for (int y = pad; y < h - pad; ++y) {
-                        const float* row = outs[b].data() +
-                            (static_cast<int64_t>(c) * h + y) * wd;
-                        for (int xx = pad; xx < wd - pad; ++xx) {
-                            s += static_cast<double>(row[xx]);
-                        }
-                    }
-                    (*interior_sums)[(static_cast<size_t>(b) * co_t_ *
-                                      n_) +
-                                     c] = s;
-                }
-            }
-        } else {
-            for (size_t t = 0; t < tasks.size(); ++t) {
-                const Task& tk = tasks[t];
-                double* dst =
-                    interior_sums->data() +
-                    (static_cast<size_t>(tk.img) * co_t_ + tk.co0) * n_;
-                const double* src = cells.data() + t * cell_stride;
-                for (int i = 0; i < (tk.co1 - tk.co0) * n_; ++i) {
-                    dst[i] += src[i];
-                }
+        for (size_t t = 0; t < tasks.size(); ++t) {
+            const Task& tk = tasks[t];
+            double* dst =
+                interior_sums->data() +
+                (static_cast<size_t>(tk.img) * co_t_ + tk.co0) * n_;
+            const double* src = cells.data() + t * cell_stride;
+            for (int i = 0; i < (tk.co1 - tk.co0) * n_; ++i) {
+                dst[i] += src[i];
             }
         }
     }

@@ -2,15 +2,14 @@
  * @file
  * RingConvEngine: a stateful executor for FRCONV (paper eq. (12)).
  *
- * The free function ring_conv_fast() historically re-derived the
- * transformed filter tensor g~ = Tg g on every forward call and walked
- * pixels through per-element Tensor::at() indexing. The engine instead
+ * The fp64 oracle ring_conv_fast() re-derives the transformed filter
+ * tensor g~ = Tg g on every call and walks pixels serially through
+ * per-element Tensor::at() indexing. The engine instead
  *
  *   1. precomputes g~ and the expanded bias once per weight set,
  *   2. runs the component-wise 2-D convolutions as row-contiguous
  *      stride-1 kernels (register-tiled simd row passes over the
- *      compiled nonzero taps on the default float path; the original
- *      double-accumulation loops on the strict path),
+ *      compiled nonzero taps),
  *   3. fuses bias, the reconstruction transform Tz, and an optional
  *      ReLU / directional-ReLU epilogue into one pass over each output
  *      band, so activations never round-trip through memory,
@@ -20,37 +19,27 @@
  *      demos, benches, the model executor, and the quantized
  *      simulator's calibration pass share one hot path.
  *
- * Numerics: the engine has two kernel sets.
- *
- *  - Default (strict_fp64 == false): float32 accumulation throughout.
- *    The nonzero taps of g~ are compiled into per-(tuple, component)
- *    tap lists at set_weights() time. A task stages its band's input
- *    rows once, with a zero halo of k/2 columns on both sides, so every
- *    output row of every tuple is ONE simd::matvec_rows_f32 pass over
- *    all columns: each element is the first tap's product followed by
- *    the adds of the rest in (ci, ky, kx) order. At columns where a tap
- *    falls outside the image that tap adds the halo's +-0 product, which
- *    leaves every nonzero partial sum as it is; one final `+ 0.0f`
- *    there makes the result equal, sign of zero included, to skipping
- *    the tap and starting from +0. The directional epilogue runs in
- *    registers (simd::dir_relu_f32), as does the unfused DirectionalReLU
- *    step. Deterministic and invariant under thread count, row banding,
- *    chunking, batching, and the dispatched ISA; differs from the fp64
- *    path by normal float rounding (observed max |Δ| well under 1e-4
- *    on unit-scale activations). The halo products are exact zeros for
- *    finite weights; a non-finite weight (rejected by the executor's
- *    verified refresh) also turns the boundary columns it touches to
- *    NaN. The fused passes keep per-pixel tuple rows in fixed 16-entry
- *    arrays, so the constructor rejects fp32 engines on rings with
- *    m > 16 or n > 16.
- *  - Strict (strict_fp64 == true): for every output element the engine
- *    performs the same operations, on the same operand values, in the
- *    same order as the original ring_conv_fast() loop nest, so results
- *    are bit-identical to the seed implementation (proved against a
- *    verbatim seed oracle in tests/test_ring_conv_engine.cc). One
- *    deliberate deviation: exactly-zero transformed filter taps are
- *    skipped, which only differs when an activation is Inf/NaN.
- *    Strict engines accept any m.
+ * Numerics: float32 accumulation throughout. The nonzero taps of g~
+ * are compiled into per-(tuple, component) tap lists at set_weights()
+ * time. A task stages its band's input rows once, with a zero halo of
+ * k/2 columns on both sides, so every output row of every tuple is ONE
+ * simd::matvec_rows_f32 pass over all columns: each element is the
+ * first tap's product followed by the adds of the rest in (ci, ky, kx)
+ * order. At columns where a tap falls outside the image that tap adds
+ * the halo's +-0 product, which leaves every nonzero partial sum as it
+ * is; one final `+ 0.0f` there makes the result equal, sign of zero
+ * included, to skipping the tap and starting from +0. The directional
+ * epilogue runs in registers (simd::dir_relu_f32), as does the unfused
+ * DirectionalReLU step. Deterministic and invariant under thread
+ * count, row banding, chunking, batching, and the dispatched ISA;
+ * differs from the fp64 oracle ring_conv_fast() (core/ring_conv.h) by
+ * normal float rounding (observed max |Δ| well under 1e-4 on
+ * unit-scale activations). The halo products are exact zeros for
+ * finite weights; a non-finite weight (rejected by the executor's
+ * verified refresh) also turns the boundary columns it touches to NaN.
+ * The fused passes keep per-pixel tuple rows in fixed 16-entry arrays,
+ * so the constructor rejects rings with m > 16 or n > 16;
+ * ring_conv_fast() accepts them.
  */
 #ifndef RINGCNN_CORE_RING_CONV_ENGINE_H
 #define RINGCNN_CORE_RING_CONV_ENGINE_H
@@ -72,17 +61,9 @@ struct RingConvEngineOptions
     /** Output rows per parallel task; 0 = auto. Any value produces
      *  identical results — this only shapes the parallel grain. */
     int row_band = 0;
-    /**
-     * Run the original double-precision accumulation loops instead of
-     * the float32 SIMD kernels. Off by default for inference; switch on
-     * wherever bit-exactness against the seed oracle is asserted.
-     * Strict mode does not support fused epilogues, and is the only
-     * mode that accepts rings with m > 16 or n > 16.
-     */
-    bool strict_fp64 = false;
 };
 
-/** Nonlinearity fused into the engine's output pass (fp32 path only). */
+/** Nonlinearity fused into the engine's output pass. */
 enum class ConvEpilogue
 {
     kNone,
@@ -102,27 +83,25 @@ enum class ConvEpilogue
 struct RingConvScratch
 {
     std::vector<std::vector<float>> xt;
-    /** fp32 path: per-image (tuple, component) plane pointer
-     *  table — identity Tx components alias the input tensor directly
-     *  (no copy), the rest point into `xt`. */
+    /** Per-image (tuple, component) plane pointer table — identity Tx
+     *  components alias the input tensor directly (no copy), the rest
+     *  point into `xt`. */
     std::vector<std::vector<const float*>> xplanes;
     struct Worker
     {
-        /** fp32 path, k > 1: the task's input rows [y0 - k/2,
-         *  y1 + k/2) (clipped to the image) of every plane its taps
-         *  read, with a zero halo of k/2 columns on both sides. Left
-         *  uninitialized (a task writes every value it reads), so
-         *  sizing it touches no memory; `stage_size` floats. */
+        /** k > 1: the task's input rows [y0 - k/2, y1 + k/2) (clipped
+         *  to the image) of every plane its taps read, with a zero halo
+         *  of k/2 columns on both sides. Left uninitialized (a task
+         *  writes every value it reads), so sizing it touches no
+         *  memory; `stage_size` floats. */
         std::unique_ptr<float[]> stage;
         size_t stage_size = 0;
-        /** fp32 path: per input plane, its first row in `stage` (or in
-         *  the plane itself when k == 1). */
+        /** Per input plane, its first row in `stage` (or in the plane
+         *  itself when k == 1). */
         std::vector<const float*> plane_rows;
-        std::vector<float> z32;    ///< fp32 per-band component planes
-        std::vector<double> z64;   ///< strict-path per-band planes
-        std::vector<double> acc64; ///< strict-path transform accumulator
-        /** fp32 path: per-row tap table (source row pointers and
-         *  coefficients), rebuilt per output row. */
+        std::vector<float> z32;  ///< per-band component planes
+        /** Per-row tap table (source row pointers and coefficients),
+         *  rebuilt per output row. */
         std::vector<const float*> tap_src;
         std::vector<float> tap_w;
     };
@@ -150,9 +129,9 @@ class RingConvEngine
     void set_weights(const RingConvWeights& w, std::vector<float> bias);
 
     /**
-     * Fuses a nonlinearity into the band pass (fp32 path only; throws
-     * on a strict_fp64 engine). kDirectional needs the n x n transform
-     * pair (u, v) of the directional ReLU; pass nullptr otherwise.
+     * Fuses a nonlinearity into the band pass. kDirectional needs the
+     * n x n transform pair (u, v) of the directional ReLU; pass nullptr
+     * otherwise.
      */
     void set_epilogue(ConvEpilogue epilogue, const Matd* u = nullptr,
                       const Matd* v = nullptr);
@@ -192,7 +171,6 @@ class RingConvEngine
     int k() const { return k_; }
     int n() const { return n_; }
     int m() const { return m_; }
-    bool strict_fp64() const { return opt_.strict_fp64; }
     ConvEpilogue epilogue() const { return epilogue_; }
 
     /** Real multiplications for one H x W forward (complexity axis). */
@@ -214,25 +192,18 @@ class RingConvEngine
     struct Task;  // one (image, row band, output-tuple chunk) work item
 
     void validate_input(const Tensor& x) const;
-    /** Output rows per task for an h x w input: as many as the fp32
+    /** Output rows per task for an h x w input: as many as the
      *  staging budget holds, at least 8 (or the row_band option). */
     int band_rows(int h, int w) const;
     /** Multiply-adds of one H x W forward including the fused
      *  epilogue's (the worker-count estimate). */
     int64_t work(int h, int w) const;
-    /** Tx-transform of input tuple t, component r, into a float plane
-     *  (strict path: double accumulation through `acc`). */
-    void transform_plane_f64(const Tensor& x, int t, int r, float* dst,
-                             std::vector<double>& acc) const;
+    /** Tx-transform of input tuple t, component r, into a float plane. */
     void transform_plane_f32(const Tensor& x, int t, int r,
                              float* dst) const;
-    /** Computes output rows [y0, y1) of output tuple co from xt. */
-    void conv_band_f64(const float* xt, int h, int w, int co, int y0,
-                       int y1, Tensor& out,
-                       RingConvScratch::Worker& scratch) const;
-    /** fp32 band pass of output tuples [co0, co1) over the compiled
-     *  tap lists. `planes` maps (tuple, component) -> input plane
-     *  (aliased or transformed; see RingConvScratch::xplanes). `sums`
+    /** Band pass of output tuples [co0, co1) over the compiled tap
+     *  lists. `planes` maps (tuple, component) -> input plane (aliased
+     *  or transformed; see RingConvScratch::xplanes). `sums`
      *  (optional): (co1-co0)*n doubles receiving the band's
      *  pre-epilogue interior sums per output channel (ABFT capture). */
     void conv_band_f32(const float* const* planes, int h, int w, int co0,
@@ -245,17 +216,14 @@ class RingConvEngine
     RingConvEngineOptions opt_;
     /** g~ in [co][r][ci][ky][kx] layout: contiguous taps per (co, r, ci)
      *  so the per-component kernels stream rows. */
-    std::vector<double> gt_;
     std::vector<float> gt32_;
     /** Bias expanded to all co_t*n real channels (zeros when absent). */
-    std::vector<double> bias_;
     std::vector<float> bias32_;
     /** Nonzero (j, Tx[r][j]) entries per component r, ascending j. */
-    std::vector<std::vector<std::pair<int, double>>> tx_nz_;
     std::vector<std::vector<std::pair<int, float>>> tx32_nz_;
     /**
      * tx_alias_[r] = j when Tx row r is the unit selector e_j (its only
-     * nonzero is a 1.0 at column j) — the fp32 path then reads
+     * nonzero is a 1.0 at column j) — the band pass then reads
      * input planes in place instead of copying them into xt. The
      * paper's RI rings have IDENTITY Tx/Tz (their fast algorithm is the
      * algebraic sparsity of the multiplication tensor itself), so their
@@ -263,20 +231,17 @@ class RingConvEngine
      * transforms.
      */
     std::vector<int> tx_alias_;
-    /** Tz as a dense row-major [n][m] array. */
-    std::vector<double> tz_;
-    std::vector<float> tz32_;
     /** Nonzero (r, Tz[i][r]) entries per output component i: the
-     *  fp32 reconstruction only touches these (identical values
-     *  except through non-finite z, as with zero filter taps). */
+     *  reconstruction only touches these (identical values except
+     *  through non-finite z, as with zero filter taps). */
     std::vector<std::vector<std::pair<int, float>>> tz32_nz_;
-    /** Tz == I (and m == n): the fp32 path then accumulates each
+    /** Tz == I (and m == n): the band pass then accumulates each
      *  component directly into its output channel rows — no component
      *  scratch band, no reconstruction pass. True for the RI rings. */
     bool identity_tz_ = false;
     /** Every bias entry is exactly zero (bias add pass skipped). */
     bool bias32_zero_ = true;
-    /** Fused epilogue state (row-major n x n, fp32 path only). */
+    /** Fused epilogue state (row-major n x n). */
     ConvEpilogue epilogue_ = ConvEpilogue::kNone;
     std::vector<float> u32_, v32_;
     /** Compiled nonzero-tap lists: for each (co, r) the live taps of

@@ -38,8 +38,8 @@
  * deliberately avoids FMA contraction, so every dispatch target
  * produces identical bits; the generic builds of the fp32 row and
  * directional kernels are exposed in simd::detail so tests can pin
- * that. The bit-exactness oracle against the seed implementation
- * additionally runs on the strict fp64 engine path.
+ * that. The fp32 engine is pinned against the fp64 oracle
+ * ring_conv_fast() to float rounding.
  *
  * The integer kernels compute in wrapping int32 lanes (the generic
  * builds go through uint32, matching AVX2's add/sub/shift lanes), so

@@ -19,7 +19,7 @@
  * contracts.
  *
  * TrainKernelOptions::strict_reference keeps the original scalar loops
- * selectable (mirroring RingConvEngineOptions::strict_fp64 on the
+ * selectable (the training-side oracle, as ring_conv_fast() is on the
  * inference side): set it to reproduce seed-era training bit for bit.
  * Correctness of the reference is pinned to tensor/image_ops.h conv2d
  * by unit tests; the SIMD path is pinned to the reference.

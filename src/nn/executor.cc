@@ -91,9 +91,7 @@ ModelExecutor::rebind(const Shape& in_shape)
     // a shape the model rejects leaves the previous plan intact.
     plan_ = plan::linearize(model_->root(), in_shape);
     plan::FusionOptions fo;
-    fo.fuse_relu = opt_.fuse_epilogues && !opt_.strict_fp64;
-    fo.fuse_dir_relu = fo.fuse_relu;
-    fo.fuse_requant = false;  // no requant ops in a float graph
+    fo.fuse = opt_.fuse_epilogues;
     fo.require_tuple_match = true;
     plan::fuse_epilogues(plan_, fo);
     plan::plan_arena(plan_);
@@ -128,7 +126,6 @@ ModelExecutor::lower_ringconv(const plan::OpIR& op)
     auto rec = std::make_unique<EngineRec>();
     RingConvEngineOptions eo;
     eo.threads = opt_.threads;
-    eo.strict_fp64 = opt_.strict_fp64;
     rec->engine = std::make_unique<RingConvEngine>(
         rc->ring(), rc->weights(), rc->bias(), eo);
     rec->engine->set_epilogue(ep, u, v);

@@ -8,9 +8,8 @@
  * shared plan pipeline (src/plan: linearize -> fuse epilogues -> arena
  * assignment) and lowers the resulting IR to fp32 kernels:
  *
- *  - every RingConv2d gets its own RingConvEngine (fp32 SIMD kernels
- *    by default); all engine steps share one RingConvScratch owned by
- *    the executor, so transform buffers, per-worker staged input bands
+ *  - every RingConv2d gets its own RingConvEngine (fp32 SIMD kernels);
+ *    all engine steps share one RingConvScratch owned by the executor, so transform buffers, per-worker staged input bands
  *    and band accumulators are reused across steps and calls;
  *  - a ReLU or DirectionalReLU the fusion pass attached to a ring conv
  *    runs in that engine's output pass (ConvEpilogue), so the
@@ -62,9 +61,6 @@ struct ExecutorOptions
 {
     /** Worker threads for engine steps; 0 = auto. */
     int threads = 0;
-    /** Build strict fp64 engines (bit-identical to the seed FRCONV
-     *  path). Disables epilogue fusion. */
-    bool strict_fp64 = false;
     /** Fuse ReLU / DirectionalReLU into the preceding ring conv. */
     bool fuse_epilogues = true;
     /**

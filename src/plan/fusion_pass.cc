@@ -8,6 +8,7 @@ namespace ringcnn::plan
 void
 fuse_epilogues(GraphPlan& plan, const FusionOptions& opt)
 {
+    if (!opt.fuse) return;
     // Consumer counts over values: a conv result read by anything
     // besides its tail op (a residual skip, the graph output) must
     // stay materialized.
@@ -31,14 +32,14 @@ fuse_epilogues(GraphPlan& plan, const FusionOptions& opt)
         Epilogue e = Epilogue::kNone;
         switch (b.kind) {
             case OpKind::kRelu:
-                if (opt.fuse_relu) e = Epilogue::kRelu;
+                e = Epilogue::kRelu;
                 break;
             case OpKind::kRequant:
-                if (opt.fuse_requant) e = Epilogue::kRequant;
+                e = Epilogue::kRequant;
                 break;
             case OpKind::kDirRelu:
                 // Dense (n=1) convs have no directional epilogue form.
-                if (opt.fuse_dir_relu && a.kind == OpKind::kRingConv &&
+                if (a.kind == OpKind::kRingConv &&
                     (!opt.require_tuple_match || b.tuple == a.tuple)) {
                     e = Epilogue::kDirRelu;
                 }

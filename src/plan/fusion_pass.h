@@ -17,22 +17,20 @@ namespace ringcnn::plan
 
 /** Backend fusion policy.
  *
- *  fp32 executor: fuse_relu / fuse_dir_relu follow the executor
- *  options (fusion is off under strict_fp64); requant does not exist;
- *  a DirectionalReLU only folds into a ring conv whose tuple matches
- *  (require_tuple_match).
+ *  fp32 executor: `fuse` follows ExecutorOptions::fuse_epilogues (a
+ *  float graph has no requant op), and a DirectionalReLU only folds
+ *  into a ring conv whose tuple matches (require_tuple_match).
  *
- *  int8 executor and simulator: requant and directional fusion are
- *  unconditional — the quantized graph ALWAYS terminates a conv with
- *  its requant/dir node and even the scalar-oracle lowering chains
- *  them in one step (the wide int64 intermediate must never hit the
- *  int16 arena) — and the tuple check is a lowering concern (it picks
- *  fast vs scalar kernels, not whether the pair is one step). */
+ *  int8 executor and simulator: fusion is unconditional — the
+ *  quantized graph ALWAYS terminates a conv with its requant/dir node
+ *  and even the scalar-oracle lowering chains them in one step (the
+ *  wide int64 intermediate must never hit the int16 arena) — and the
+ *  tuple check is a lowering concern (it picks fast vs scalar kernels,
+ *  not whether the pair is one step). */
 struct FusionOptions
 {
-    bool fuse_relu = true;
-    bool fuse_dir_relu = true;
-    bool fuse_requant = true;
+    /** Fold each ReLU, DirectionalReLU and requant into its conv. */
+    bool fuse = true;
     bool require_tuple_match = false;
 };
 

@@ -764,42 +764,24 @@ QuantizedModel::executor() const
 Tensor
 QuantizedModel::forward(const Tensor& x) const
 {
-    if (opt_.strict_reference) {
-        return dequantize(root_->forward(quantize_input(x)));
-    }
     return executor().forward(x);
 }
 
 std::vector<Tensor>
 QuantizedModel::forward(const std::vector<Tensor>& xs) const
 {
-    if (opt_.strict_reference) {
-        std::vector<Tensor> out;
-        out.reserve(xs.size());
-        for (const Tensor& x : xs) {
-            out.push_back(dequantize(root_->forward(quantize_input(x))));
-        }
-        return out;
-    }
     return executor().forward(xs);
 }
 
 QAct
 QuantizedModel::infer(const QAct& in) const
 {
-    if (opt_.strict_reference) return root_->forward(in);
     return executor().run(in);
 }
 
 std::vector<QAct>
 QuantizedModel::infer(const std::vector<QAct>& ins) const
 {
-    if (opt_.strict_reference) {
-        std::vector<QAct> out;
-        out.reserve(ins.size());
-        for (const QAct& in : ins) out.push_back(root_->forward(in));
-        return out;
-    }
     return executor().run(ins);
 }
 

@@ -37,15 +37,6 @@ struct QuantOptions
     bool onthefly_dir_relu = true;
     /** Component-wise feature Q-formats for directional ReLU outputs. */
     bool componentwise_q = true;
-    /**
-     * Run inference through the scalar QNode walk (the bit-exact golden
-     * reference) instead of the compiled int8/int32 engine path
-     * (quant::QuantExecutor). The two produce identical bits — the
-     * engine suites pin that — so this only trades speed for the
-     * oracle's simplicity, mirroring RingConvEngineOptions::strict_fp64
-     * on the float side.
-     */
-    bool strict_reference = false;
 };
 
 /** Integer activation: CHW values with per-channel fractional bits. */
@@ -218,22 +209,24 @@ class QuantizedModel
     QuantizedModel& operator=(QuantizedModel&&) noexcept;
 
     /**
-     * End-to-end inference: float image in, float image out. Runs the
-     * compiled int8/int32 engine path by default; the scalar QNode walk
-     * when QuantOptions::strict_reference is set. Both produce the same
-     * bits. The engine path reuses a cached executor (one caller at a
-     * time; clone the model per thread for concurrent inference).
+     * End-to-end inference: float image in, float image out, through
+     * the compiled int8/int32 engine path (quant::QuantExecutor). Its
+     * raw integers equal the scalar QNode oracle's — the engine suites
+     * pin that — so the oracle result is
+     * dequantize(root()->forward(quantize_input(x))). The engine path
+     * reuses a cached executor (one caller at a time; clone the model
+     * per thread for concurrent inference).
      */
     Tensor forward(const Tensor& x) const;
 
-    /** Batched inference: one output per input, in order. The engine
-     *  path schedules the whole batch onto one worker set. */
+    /** Batched inference: one output per input, in order, with the
+     *  whole batch scheduled onto one worker set. */
     std::vector<Tensor> forward(const std::vector<Tensor>& xs) const;
 
     /**
-     * Integer-graph inference: quantized activation in, activation out.
-     * Engine path by default, scalar walk under strict_reference; the
-     * raw integers are identical either way.
+     * Integer-graph inference through the engine path: quantized
+     * activation in, activation out, with the raw integers of
+     * root()->forward(in).
      */
     QAct infer(const QAct& in) const;
     std::vector<QAct> infer(const std::vector<QAct>& ins) const;

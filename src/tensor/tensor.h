@@ -90,10 +90,10 @@ class Tensor
      * otherwise preserved per std::vector::resize semantics — callers
      * are expected to overwrite every element.
      */
-    void reset(Shape shape)
+    void reset(const Shape& shape)
     {
         assert(!shape.empty() && shape.size() <= 4);
-        shape_ = std::move(shape);
+        shape_ = shape;
         data_.resize(static_cast<size_t>(shape_numel(shape_)));
     }
 

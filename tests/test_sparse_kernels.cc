@@ -4,10 +4,10 @@
  * pruned tap tuples never enter the engines' compiled tap tables — and
  * the compiled engines must stay pinned to the oracles.
  *
- *  - fp32: the compiled tap-table schedule tracks the strict fp64
- *    executor on the same pruned weights (within 1e-4), across every
- *    registered ring, k in {1, 3}, and ring-DOF densities
- *    {1.0, 0.5, 0.25, 0.0};
+ *  - fp32: the compiled tap-table schedule tracks a layer walk through
+ *    the fp64 oracle ring_conv_fast on the same pruned weights (within
+ *    1e-4), across every registered ring, k in {1, 3}, and ring-DOF
+ *    densities {1.0, 0.5, 0.25, 0.0};
  *  - int8: the quantized executor's compiled-tap schedule is
  *    bit-identical to the scalar int64 QNode oracle;
  *  - the plan IR carries the nonzero-tap annotation (emitted during
@@ -32,6 +32,7 @@
 
 #include "baselines/pruning.h"
 #include "core/ring.h"
+#include "core/ring_conv.h"
 #include "nn/executor.h"
 #include "nn/layer.h"
 #include "nn/model.h"
@@ -85,7 +86,19 @@ expect_bitwise_equal(const Tensor& a, const Tensor& b,
 
 constexpr double kDensities[] = {1.0, 0.5, 0.25, 0.0};
 
-TEST(SparseKernels, Fp32CompiledTapsTrackStrictOracle)
+/** The backbone's conv -> ReLU -> conv walk through the fp64 oracle. */
+Tensor
+fp64_oracle_walk(nn::Model& model, const Tensor& x)
+{
+    auto& seq = dynamic_cast<nn::Sequential&>(model.root());
+    const auto conv = [&](size_t i, const Tensor& in) {
+        auto& rc = dynamic_cast<nn::RingConv2d&>(seq.at(i));
+        return ring_conv_fast(rc.ring(), in, rc.weights(), rc.bias());
+    };
+    return conv(2, seq.at(1).forward(conv(0, x), false));
+}
+
+TEST(SparseKernels, Fp32CompiledTapsTrackFp64Oracle)
 {
     for (const std::string& ring_name : all_ring_names()) {
         const Ring& ring = get_ring(ring_name);
@@ -100,11 +113,8 @@ TEST(SparseKernels, Fp32CompiledTapsTrackStrictOracle)
                 const Tensor x = rand_image(c, rng);
 
                 nn::ModelExecutor sparse(model, x.shape());
-                nn::ExecutorOptions strict_opt;
-                strict_opt.strict_fp64 = true;
-                nn::ModelExecutor strict(model, x.shape(), strict_opt);
                 const Tensor ys = sparse.run(x);
-                const Tensor yo = strict.run(x);
+                const Tensor yo = fp64_oracle_walk(model, x);
                 ASSERT_EQ(ys.shape(), yo.shape()) << label;
                 EXPECT_LT(max_abs_diff(ys, yo), 1e-4) << label;
 
