@@ -113,9 +113,9 @@ ring_conv_reference(const Ring& ring, const Tensor& x,
     return conv2d_same(x, expand_to_real(ring, w), bias);
 }
 
-Tensor
-ring_conv_fast(const Ring& ring, const Tensor& x, const RingConvWeights& w,
-               const std::vector<float>& bias)
+void
+check_frconv_weights(const Ring& ring, const RingConvWeights& w,
+                     const std::vector<float>& bias)
 {
     const int n = ring.n;
     RINGCNN_CHECK(w.n == n, "ring weights built for n=" +
@@ -131,13 +131,27 @@ ring_conv_fast(const Ring& ring, const Tensor& x, const RingConvWeights& w,
                   "bias must be empty or co_t*n=" +
                       std::to_string(w.co_t * n) + " entries, got " +
                       std::to_string(bias.size()));
+}
+
+void
+check_frconv_input(const Tensor& x, int ci_t, int n)
+{
     RINGCNN_CHECK(x.rank() == 3, "FRCONV input must be a CHW tensor, got " +
                                      x.shape_str());
-    RINGCNN_CHECK(x.dim(0) == w.ci_t * n,
+    RINGCNN_CHECK(x.dim(0) == ci_t * n,
                   "FRCONV input has " + std::to_string(x.dim(0)) +
                       " channels but the weights expect ci_t*n=" +
-                      std::to_string(w.ci_t * n));
+                      std::to_string(ci_t * n));
+}
 
+Tensor
+ring_conv_fast(const Ring& ring, const Tensor& x, const RingConvWeights& w,
+               const std::vector<float>& bias)
+{
+    check_frconv_weights(ring, w, bias);
+    check_frconv_input(x, w.ci_t, ring.n);
+
+    const int n = ring.n;
     const int m = ring.fast.m();
     const int ci_t = x.dim(0) / n;
     const int h = x.dim(1), wd = x.dim(2);

@@ -90,17 +90,29 @@ Tensor ring_conv_reference(const Ring& ring, const Tensor& x,
                            const std::vector<float>& bias);
 
 /**
+ * Argument checks every FRCONV implementation shares, so the oracle
+ * and RingConvEngine reject the same misuse. check_frconv_weights
+ * wants weights built for the ring's n, positive tuple counts, an odd
+ * k, and a bias that is empty or co_t*n long; check_frconv_input wants
+ * a CHW tensor of ci_t*n channels. Both throw std::invalid_argument.
+ */
+void check_frconv_weights(const Ring& ring, const RingConvWeights& w,
+                          const std::vector<float>& bias);
+void check_frconv_input(const Tensor& x, int ci_t, int n);
+
+/**
  * FRCONV (eq. (12)): transform the input once per tuple, run m
  * component-wise 2-D convolutions per channel pair, accumulate over
  * input tuples, then apply the reconstruction transform once.
  *
  * The fp64 FRCONV oracle: the seed's serial per-pixel loop nest, with
  * every transform and accumulation in double and one rounding to float
- * per stored value. It shares no code with RingConvEngine
- * (core/ring_conv_engine.h), the fp32 production path it pins, and
- * accepts rings of any m. It multiplies every transformed filter tap,
- * zeros included, so an Inf/NaN activation spreads exactly as in the
- * seed. Shape mismatches throw std::invalid_argument.
+ * per stored value. Apart from the argument checks above it shares
+ * no code with RingConvEngine (core/ring_conv_engine.h), the fp32
+ * production path it pins, and it accepts rings of any m. It
+ * multiplies every transformed filter tap, zeros included, so an
+ * Inf/NaN activation spreads exactly as in the seed. Shape mismatches
+ * throw std::invalid_argument.
  */
 Tensor ring_conv_fast(const Ring& ring, const Tensor& x,
                       const RingConvWeights& w,

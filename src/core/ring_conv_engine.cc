@@ -76,20 +76,7 @@ RingConvEngine::RingConvEngine(const Ring& ring, const RingConvWeights& w,
 void
 RingConvEngine::set_weights(const RingConvWeights& w, std::vector<float> bias)
 {
-    RINGCNN_CHECK(w.n == ring_->n,
-                  "ring weights built for n=" + std::to_string(w.n) +
-                      " but ring '" + ring_->name + "' has n=" +
-                      std::to_string(ring_->n));
-    RINGCNN_CHECK(w.co_t > 0 && w.ci_t > 0,
-                  "ring weights need positive tuple channel counts");
-    RINGCNN_CHECK(w.k > 0 && w.k % 2 == 1,
-                  "kernel size must be odd and positive, got " +
-                      std::to_string(w.k));
-    RINGCNN_CHECK(bias.empty() ||
-                      static_cast<int>(bias.size()) == w.co_t * w.n,
-                  "bias must be empty or co_t*n=" +
-                      std::to_string(w.co_t * w.n) + " entries, got " +
-                      std::to_string(bias.size()));
+    check_frconv_weights(*ring_, w, bias);
     co_t_ = w.co_t;
     ci_t_ = w.ci_t;
     k_ = w.k;
@@ -188,17 +175,6 @@ RingConvEngine::set_epilogue(ConvEpilogue epilogue, const Matd* u,
         }
     }
     epilogue_ = epilogue;
-}
-
-void
-RingConvEngine::validate_input(const Tensor& x) const
-{
-    RINGCNN_CHECK(x.rank() == 3, "FRCONV input must be a CHW tensor, got " +
-                                     x.shape_str());
-    RINGCNN_CHECK(x.dim(0) == ci_t_ * n_,
-                  "FRCONV input has " + std::to_string(x.dim(0)) +
-                      " channels but the engine expects ci_t*n=" +
-                      std::to_string(ci_t_ * n_));
 }
 
 int
@@ -492,7 +468,7 @@ RingConvEngine::run_into(const Tensor* const* xs, Tensor* outs, int count,
                          RingConvScratch* scratch,
                          std::vector<double>* interior_sums) const
 {
-    for (int b = 0; b < count; ++b) validate_input(*xs[b]);
+    for (int b = 0; b < count; ++b) check_frconv_input(*xs[b], ci_t_, n_);
 
     RingConvScratch local;
     RingConvScratch& sc = scratch != nullptr ? *scratch : local;

@@ -191,7 +191,6 @@ class RingConvEngine
   private:
     struct Task;  // one (image, row band, output-tuple chunk) work item
 
-    void validate_input(const Tensor& x) const;
     /** Output rows per task for an h x w input: as many as the
      *  staging budget holds, at least 8 (or the row_band option). */
     int band_rows(int h, int w) const;

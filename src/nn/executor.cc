@@ -91,9 +91,8 @@ ModelExecutor::rebind(const Shape& in_shape)
     // a shape the model rejects leaves the previous plan intact.
     plan_ = plan::linearize(model_->root(), in_shape);
     plan::FusionOptions fo;
-    fo.fuse = opt_.fuse_epilogues;
     fo.require_tuple_match = true;
-    plan::fuse_epilogues(plan_, fo);
+    if (opt_.fuse_epilogues) plan::fuse_epilogues(plan_, fo);
     plan::plan_arena(plan_);
 
     in_shape_ = in_shape;

@@ -9,8 +9,9 @@
  * assignment) and lowers the resulting IR to fp32 kernels:
  *
  *  - every RingConv2d gets its own RingConvEngine (fp32 SIMD kernels);
- *    all engine steps share one RingConvScratch owned by the executor, so transform buffers, per-worker staged input bands
- *    and band accumulators are reused across steps and calls;
+ *    all engine steps share one RingConvScratch owned by the executor,
+ *    so transform buffers, per-worker staged input bands and band
+ *    accumulators are reused across steps and calls;
  *  - a ReLU or DirectionalReLU the fusion pass attached to a ring conv
  *    runs in that engine's output pass (ConvEpilogue), so the
  *    activation never round-trips through memory; a ReLU after a dense

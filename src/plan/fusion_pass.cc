@@ -8,7 +8,6 @@ namespace ringcnn::plan
 void
 fuse_epilogues(GraphPlan& plan, const FusionOptions& opt)
 {
-    if (!opt.fuse) return;
     // Consumer counts over values: a conv result read by anything
     // besides its tail op (a residual skip, the graph output) must
     // stay materialized.

@@ -15,11 +15,13 @@
 namespace ringcnn::plan
 {
 
-/** Backend fusion policy.
+/** Backend fusion policy. The fp32 executor skips the pass when
+ *  ExecutorOptions::fuse_epilogues is off; every other caller always
+ *  runs it.
  *
- *  fp32 executor: `fuse` follows ExecutorOptions::fuse_epilogues (a
- *  float graph has no requant op), and a DirectionalReLU only folds
- *  into a ring conv whose tuple matches (require_tuple_match).
+ *  fp32 executor: a float graph has no requant op, and a
+ *  DirectionalReLU only folds into a ring conv whose tuple matches
+ *  (require_tuple_match).
  *
  *  int8 executor and simulator: fusion is unconditional — the
  *  quantized graph ALWAYS terminates a conv with its requant/dir node
@@ -29,8 +31,6 @@ namespace ringcnn::plan
  *  not whether the pair is one step). */
 struct FusionOptions
 {
-    /** Fold each ReLU, DirectionalReLU and requant into its conv. */
-    bool fuse = true;
     bool require_tuple_match = false;
 };
 

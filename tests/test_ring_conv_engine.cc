@@ -3,10 +3,10 @@
  * Equivalence and robustness tests for RingConvEngine.
  *
  * The fp32 engine must track the fp64 FRCONV oracle ring_conv_fast()
- * (the seed's serial loop nest, which shares no code with the engine)
- * to float rounding on every ring, stay bit-identical under thread
- * count, row banding, and batching, and match a scalar oracle of its
- * own band-pass arithmetic float for float.
+ * (the seed's serial loop nest, which shares only its argument checks
+ * with the engine) to float rounding on every ring, stay bit-identical
+ * under thread count, row banding, and batching, and match a scalar
+ * oracle of its own band-pass arithmetic float for float.
  */
 #include <gtest/gtest.h>
 
