@@ -6,8 +6,10 @@
  * oracle ring_conv_fast(), plus per-ring engine micro-timings.
  *
  * Emits BENCH_model.json (img/s, ns/MAC, per-ring table, fp32-vs-fp64
- * max |Δ|, an `int8` engine row, a `train_step` row comparing the
- * scalar-reference training path against the SIMD-parallel one, and a
+ * max |Δ|, an `int8` engine row, an `sr_int8` row timing the SR4ERNet
+ * int8 engine batch of the screen_sr workload, a `train_step` row
+ * comparing the scalar-reference training path against the
+ * SIMD-parallel one, and a
  * `sparse` row timing ring-DOF-pruned backbones through the compiled
  * nonzero-tap tables at 0%/50%/75% sparsity, and an `integrity` row
  * measuring the ABFT checksum overhead plus the detection rate of a
@@ -37,7 +39,9 @@
 #include "bench_util.h"
 #include "core/ring_conv_engine.h"
 #include "core/simd.h"
+#include "data/synthetic.h"
 #include "data/tasks.h"
+#include "models/backbones.h"
 #include "nn/conv_kernels.h"
 #include "nn/executor.h"
 #include "nn/layer.h"
@@ -293,6 +297,61 @@ main(int argc, char** argv)
                 "engine-8t %.2f ms (%.1fx)  vs fp32 %.2fx  bit-exact=%s\n",
                 q_scalar_ms, q_eng_st_ms, q_st_speedup, q_eng_mt_ms,
                 q_mt_speedup, q_vs_fp32_st, int8_bit_exact ? "yes" : "NO");
+
+    // ---- sr_int8: the screen_sr engine batch ----
+    // SR4ERNet (RI4, fH, default config) int8 on 64x64 tiles, batch 8,
+    // through forward_into at 1 and 4 threads: seven convs plus the
+    // pixel shuffle, the bilinear x4 skip, the adds and the
+    // dequantize. bit_exact: every image's raw integers at both thread
+    // counts, and the floats of the timed path, against the QNode walk.
+    const int sr_hw = 64, sr_batch = 8, sr_mt_threads = 4;
+    double sr_st_ms = 0.0, sr_mt_ms = 0.0;
+    bool sr_bit_exact = true;
+    {
+        nn::Model sr = models::build_sr4_ernet(
+            models::Algebra::with_fh("RI4"), models::ErnetConfig{});
+        std::mt19937 sr_rng(12);
+        std::vector<Tensor> imgs;
+        for (int i = 0; i < sr_batch; ++i) {
+            imgs.push_back(data::synthetic_image(3, sr_hw, sr_hw, sr_rng));
+        }
+        const quant::QuantizedModel sqm(sr, {imgs[0], imgs[1]});
+        std::vector<quant::QAct> ins;
+        std::vector<quant::QAct> want;
+        for (const Tensor& t : imgs) {
+            ins.push_back(sqm.quantize_input(t));
+            want.push_back(sqm.root()->forward(ins.back()));
+        }
+        std::vector<const Tensor*> ptrs;
+        for (const Tensor& t : imgs) ptrs.push_back(&t);
+        std::vector<Tensor> outs(static_cast<size_t>(sr_batch));
+        for (const int threads : {1, sr_mt_threads}) {
+            quant::QuantExecOptions so;
+            so.threads = threads;
+            quant::QuantExecutor sex(sqm, so);
+            const std::vector<quant::QAct> got = sex.run(ins);
+            sex.forward_into(ptrs.data(), outs.data(), sr_batch);  // warm
+            const double ms = time_ms(reps, [&]() {
+                sex.forward_into(ptrs.data(), outs.data(), sr_batch);
+            });
+            (threads == 1 ? sr_st_ms : sr_mt_ms) = ms;
+            for (int b = 0; b < sr_batch; ++b) {
+                const quant::QAct& w = want[static_cast<size_t>(b)];
+                const quant::QAct& g = got[static_cast<size_t>(b)];
+                const Tensor wf = quant::QuantizedModel::dequantize(w);
+                const Tensor& gf = outs[static_cast<size_t>(b)];
+                sr_bit_exact = sr_bit_exact && w.shape == g.shape &&
+                               w.frac == g.frac && w.v == g.v &&
+                               wf.shape() == gf.shape() &&
+                               std::memcmp(wf.data(), gf.data(),
+                                           sizeof(float) * wf.numel()) == 0;
+            }
+        }
+    }
+    std::printf("  sr_int8:       SR4ERNet %dx%d batch %d: %.2f ms (1 thread)"
+                "  %.2f ms (%d threads)  bit-exact=%s\n",
+                sr_hw, sr_hw, sr_batch, sr_st_ms, sr_mt_ms, sr_mt_threads,
+                sr_bit_exact ? "yes" : "NO");
 
     double train_scalar_ms = 0.0, train_simd_st_ms = 0.0,
            train_simd_mt_ms = 0.0;
@@ -1089,6 +1148,14 @@ main(int argc, char** argv)
     std::fprintf(f, "    \"engine_st_vs_fp32_st\": %.3f,\n", q_vs_fp32_st);
     std::fprintf(f, "    \"bit_exact\": %s\n",
                  int8_bit_exact ? "true" : "false");
+    std::fprintf(f, "  },\n");
+    std::fprintf(f, "  \"sr_int8\": {\n");
+    std::fprintf(f, "    \"hw\": %d, \"batch\": %d, \"mt_threads\": %d,\n",
+                 sr_hw, sr_batch, sr_mt_threads);
+    std::fprintf(f, "    \"st_ms\": %.4f,\n", sr_st_ms);
+    std::fprintf(f, "    \"mt_ms\": %.4f,\n", sr_mt_ms);
+    std::fprintf(f, "    \"bit_exact\": %s\n",
+                 sr_bit_exact ? "true" : "false");
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"train_step\": {\n");
     std::fprintf(f, "    \"patch\": %d, \"batch\": 8,\n", train_patch);

@@ -78,6 +78,35 @@ code_max(int bits)
     return (INT32_C(1) << (bits - 1)) - 1;
 }
 
+/** quant::shift_round_saturate in int64, clamped to [lo, hi]. */
+inline int64_t
+srs_i64(int64_t v, int shift, int64_t lo, int64_t hi)
+{
+    if (shift > 0) {
+        v = (v + (INT64_C(1) << (shift - 1))) >> shift;
+    } else if (shift < 0) {
+        v = static_cast<int64_t>(static_cast<uint64_t>(v) << -shift);
+    }
+    return std::clamp(v, lo, hi);
+}
+
+/** Shifts for which the aligned add's int32 lanes are exact: an int16
+ *  code shifted left by up to 16 or right (after the rounding add) by
+ *  up to 31 stays inside int32. */
+inline bool
+add_shift_in_i32(int s)
+{
+    return s >= -16 && s <= 31;
+}
+
+/** fracs whose scale 2^-frac and every product with an int16 code are
+ *  normal floats, so the float product is exact. */
+inline bool
+dequantize_in_float(int frac)
+{
+    return frac >= -111 && frac <= 126;
+}
+
 /** quant::wht_inplace's traversal on wrapping int32 lanes. */
 void
 wht_i32(int32_t* x, int n)
@@ -208,6 +237,67 @@ quantize_f32_i16_generic(int16_t* dst, const float* src, int64_t len,
         }
         const double c = std::min(std::max(v, lo), hi);
         dst[i] = static_cast<int16_t>(std::trunc(c + std::copysign(0.5, c)));
+    }
+}
+
+void
+lerp_cols_i16_i32_generic(int32_t* dst, const int16_t* src,
+                          const int32_t* cols, const int16_t* wts,
+                          int64_t len)
+{
+    for (int64_t i = 0; i < len; ++i) {
+        const int16_t* p = src + cols[i];
+        // One vpmaddwd lane: each 16x16 product is exact in int32.
+        dst[i] = static_cast<int32_t>(
+            static_cast<uint32_t>(static_cast<int32_t>(p[0]) * wts[2 * i]) +
+            static_cast<uint32_t>(static_cast<int32_t>(p[1]) *
+                                  wts[2 * i + 1]));
+    }
+}
+
+void
+lerp_rows_i32_i16_generic(int16_t* dst, const int32_t* a, const int32_t* b,
+                          int32_t wa, int32_t wb, int64_t len, int shift,
+                          int bits)
+{
+    const LaneShift s = lane_shift(shift);
+    const int32_t hi = code_max(bits), lo = -hi - 1;
+    const uint32_t ua = static_cast<uint32_t>(wa);
+    const uint32_t ub = static_cast<uint32_t>(wb);
+    for (int64_t i = 0; i < len; ++i) {
+        const int32_t v = static_cast<int32_t>(
+            ua * static_cast<uint32_t>(a[i]) + ub * static_cast<uint32_t>(b[i]));
+        dst[i] = saturate(apply_shift(v, s), lo, hi);
+    }
+}
+
+void
+add_aligned_i16_generic(int16_t* dst, const int16_t* a, const int16_t* b,
+                        int64_t len, int sa, int sb, int bits)
+{
+    const int64_t hi = code_max(bits), lo = -hi - 1;
+    const int64_t hi2 = code_max(bits + 2), lo2 = -hi2 - 1;
+    for (int64_t i = 0; i < len; ++i) {
+        const int64_t va = srs_i64(a[i], sa, lo2, hi2);
+        const int64_t vb = srs_i64(b[i], sb, lo2, hi2);
+        dst[i] = static_cast<int16_t>(std::clamp(va + vb, lo, hi));
+    }
+}
+
+void
+dequantize_i16_f32_generic(float* dst, const int16_t* src, int64_t len,
+                           int frac)
+{
+    if (!dequantize_in_float(frac)) {
+        const double scale = std::ldexp(1.0, -frac);
+        for (int64_t i = 0; i < len; ++i) {
+            dst[i] = static_cast<float>(src[i] * scale);
+        }
+        return;
+    }
+    const float scale = std::ldexp(1.0f, -frac);
+    for (int64_t i = 0; i < len; ++i) {
+        dst[i] = static_cast<float>(src[i]) * scale;
     }
 }
 
@@ -1055,6 +1145,145 @@ quantize_f32_i16_avx2(int16_t* dst, const float* src, int64_t len, int frac,
     detail::quantize_f32_i16_generic(dst + i, src + i, len - i, frac, bits);
 }
 
+/** Stores 16 int32 lanes already clamped to int16 as 16 int16 codes. */
+__attribute__((target("avx2"))) inline void
+store_i16x16(int16_t* dst, __m256i lo8, __m256i hi8)
+{
+    const __m256i p =
+        _mm256_permute4x64_epi64(_mm256_packs_epi32(lo8, hi8), 0xd8);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), p);
+}
+
+// Each lane gathers the 32-bit word at src + cols[i]: the code pair
+// (src[cols[i]], src[cols[i] + 1]), which vpmaddwd blends with its
+// weight pair.
+__attribute__((target("avx2"))) void
+lerp_cols_i16_i32_avx2(int32_t* dst, const int16_t* src, const int32_t* cols,
+                       const int16_t* wts, int64_t len)
+{
+    const int* base = reinterpret_cast<const int*>(src);
+    int64_t i = 0;
+    for (; i + 8 <= len; i += 8) {
+        const __m256i pairs = _mm256_i32gather_epi32(
+            base, load_i32x8(cols + i), sizeof(int16_t));
+        const __m256i w =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(wts + 2 * i));
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
+                            _mm256_madd_epi16(pairs, w));
+    }
+    detail::lerp_cols_i16_i32_generic(dst + i, src, cols + i, wts + 2 * i,
+                                      len - i);
+}
+
+/** The blend of lerp_rows_i32_i16 on 8 lanes from a + j and b + j. */
+__attribute__((target("avx2"))) inline __m256i
+lerp_x8(const int32_t* a, const int32_t* b, __m256i ca, __m256i cb,
+        const LaneShiftX8& s, __m256i lo, __m256i hi)
+{
+    const __m256i v = _mm256_add_epi32(_mm256_mullo_epi32(load_i32x8(a), ca),
+                                       _mm256_mullo_epi32(load_i32x8(b), cb));
+    return clamp_x8(apply_shift_x8(v, s), lo, hi);
+}
+
+__attribute__((target("avx2"))) void
+lerp_rows_i32_i16_avx2(int16_t* dst, const int32_t* a, const int32_t* b,
+                       int32_t wa, int32_t wb, int64_t len, int shift,
+                       int bits)
+{
+    const LaneShiftX8 s = lane_shift_x8(shift);
+    const __m256i hi = _mm256_set1_epi32(code_max(bits));
+    const __m256i lo = _mm256_set1_epi32(-code_max(bits) - 1);
+    const __m256i ca = _mm256_set1_epi32(wa);
+    const __m256i cb = _mm256_set1_epi32(wb);
+    int64_t i = 0;
+    for (; i + 16 <= len; i += 16) {
+        store_i16x16(dst + i, lerp_x8(a + i, b + i, ca, cb, s, lo, hi),
+                     lerp_x8(a + i + 8, b + i + 8, ca, cb, s, lo, hi));
+    }
+    for (; i + 8 <= len; i += 8) {
+        store_i16x8(dst + i, lerp_x8(a + i, b + i, ca, cb, s, lo, hi));
+    }
+    detail::lerp_rows_i32_i16_generic(dst + i, a + i, b + i, wa, wb, len - i,
+                                      shift, bits);
+}
+
+/** Shift/clamp bounds of add_aligned_i16 on 8 lanes. */
+struct AddAlignX8
+{
+    LaneShiftX8 sa, sb;
+    __m256i lo, hi;    ///< the output code range
+    __m256i lo2, hi2;  ///< the aligned operands' range (bits + 2)
+};
+
+/** Eight codes of each operand, widened: both aligned to bits + 2,
+ *  added, and saturated to bits. */
+__attribute__((target("avx2"))) inline __m256i
+add_aligned_x8(__m128i ca, __m128i cb, const AddAlignX8& k)
+{
+    const __m256i va = clamp_x8(
+        apply_shift_x8(_mm256_cvtepi16_epi32(ca), k.sa), k.lo2, k.hi2);
+    const __m256i vb = clamp_x8(
+        apply_shift_x8(_mm256_cvtepi16_epi32(cb), k.sb), k.lo2, k.hi2);
+    return clamp_x8(_mm256_add_epi32(va, vb), k.lo, k.hi);
+}
+
+__attribute__((target("avx2"))) void
+add_aligned_i16_avx2(int16_t* dst, const int16_t* a, const int16_t* b,
+                     int64_t len, int sa, int sb, int bits)
+{
+    if (!add_shift_in_i32(sa) || !add_shift_in_i32(sb)) {
+        detail::add_aligned_i16_generic(dst, a, b, len, sa, sb, bits);
+        return;
+    }
+    const AddAlignX8 k{lane_shift_x8(sa),
+                       lane_shift_x8(sb),
+                       _mm256_set1_epi32(-code_max(bits) - 1),
+                       _mm256_set1_epi32(code_max(bits)),
+                       _mm256_set1_epi32(-code_max(bits + 2) - 1),
+                       _mm256_set1_epi32(code_max(bits + 2))};
+    int64_t i = 0;
+    for (; i + 16 <= len; i += 16) {
+        const __m256i va =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
+        const __m256i vb =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
+        store_i16x16(dst + i,
+                     add_aligned_x8(_mm256_castsi256_si128(va),
+                                    _mm256_castsi256_si128(vb), k),
+                     add_aligned_x8(_mm256_extracti128_si256(va, 1),
+                                    _mm256_extracti128_si256(vb, 1), k));
+    }
+    detail::add_aligned_i16_generic(dst + i, a + i, b + i, len - i, sa, sb,
+                                    bits);
+}
+
+/** Eight codes times an exact float scale. */
+__attribute__((target("avx2"))) inline __m256
+dequantize_x8(__m128i c, __m256 scale)
+{
+    return _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(c)), scale);
+}
+
+__attribute__((target("avx2"))) void
+dequantize_i16_f32_avx2(float* dst, const int16_t* src, int64_t len, int frac)
+{
+    if (!dequantize_in_float(frac)) {
+        detail::dequantize_i16_f32_generic(dst, src, len, frac);
+        return;
+    }
+    const __m256 scale = _mm256_set1_ps(std::ldexp(1.0f, -frac));
+    int64_t i = 0;
+    for (; i + 16 <= len; i += 16) {
+        const __m256i c =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
+        _mm256_storeu_ps(dst + i,
+                         dequantize_x8(_mm256_castsi256_si128(c), scale));
+        _mm256_storeu_ps(dst + i + 8,
+                         dequantize_x8(_mm256_extracti128_si256(c, 1), scale));
+    }
+    detail::dequantize_i16_f32_generic(dst + i, src + i, len - i, frac);
+}
+
 bool
 have_avx2()
 {
@@ -1083,6 +1312,13 @@ using DirQfirstFn = void (*)(int16_t* const*, const int32_t* const*, int,
                              const int*, const int*, const int*, int,
                              int64_t);
 using QuantizeFn = void (*)(int16_t*, const float*, int64_t, int, int);
+using LerpColsFn = void (*)(int32_t*, const int16_t*, const int32_t*,
+                            const int16_t*, int64_t);
+using LerpFn = void (*)(int16_t*, const int32_t*, const int32_t*, int32_t,
+                        int32_t, int64_t, int, int);
+using AddAlignedFn = void (*)(int16_t*, const int16_t*, const int16_t*,
+                              int64_t, int, int, int);
+using DequantizeFn = void (*)(float*, const int16_t*, int64_t, int);
 
 struct Dispatch
 {
@@ -1101,6 +1337,10 @@ struct Dispatch
     DirOtfFn dir_otf = detail::dir_relu_otf_i32_i16_generic;
     DirQfirstFn dir_qfirst = detail::dir_relu_qfirst_i32_i16_generic;
     QuantizeFn quantize = detail::quantize_f32_i16_generic;
+    LerpColsFn lerp_cols = detail::lerp_cols_i16_i32_generic;
+    LerpFn lerp = detail::lerp_rows_i32_i16_generic;
+    AddAlignedFn add_aligned = detail::add_aligned_i16_generic;
+    DequantizeFn dequantize = detail::dequantize_i16_f32_generic;
     const char* isa = "generic";
 
     Dispatch()
@@ -1122,6 +1362,10 @@ struct Dispatch
             dir_otf = dir_relu_otf_avx2;
             dir_qfirst = dir_relu_qfirst_avx2;
             quantize = quantize_f32_i16_avx2;
+            lerp_cols = lerp_cols_i16_i32_avx2;
+            lerp = lerp_rows_i32_i16_avx2;
+            add_aligned = add_aligned_i16_avx2;
+            dequantize = dequantize_i16_f32_avx2;
             isa = "avx2";
         }
 #endif
@@ -1250,6 +1494,33 @@ quantize_f32_i16(int16_t* dst, const float* src, int64_t len, int frac,
                  int bits)
 {
     dispatch().quantize(dst, src, len, frac, bits);
+}
+
+void
+lerp_cols_i16_i32(int32_t* dst, const int16_t* src, const int32_t* cols,
+                  const int16_t* wts, int64_t len)
+{
+    dispatch().lerp_cols(dst, src, cols, wts, len);
+}
+
+void
+lerp_rows_i32_i16(int16_t* dst, const int32_t* a, const int32_t* b,
+                  int32_t wa, int32_t wb, int64_t len, int shift, int bits)
+{
+    dispatch().lerp(dst, a, b, wa, wb, len, shift, bits);
+}
+
+void
+add_aligned_i16(int16_t* dst, const int16_t* a, const int16_t* b, int64_t len,
+                int sa, int sb, int bits)
+{
+    dispatch().add_aligned(dst, a, b, len, sa, sb, bits);
+}
+
+void
+dequantize_i16_f32(float* dst, const int16_t* src, int64_t len, int frac)
+{
+    dispatch().dequantize(dst, src, len, frac);
 }
 
 float

@@ -24,6 +24,10 @@
  *   requant_i32_i16, dir_relu_*_i32_i16: fused conv epilogues, int32
  *                    accumulators in, saturated int16 codes out
  *   quantize_f32_i16: float image -> int16 codes (QFormat::quantize)
+ *   lerp_cols_i16_i32, lerp_rows_i32_i16, add_aligned_i16,
+ *   dequantize_i16_f32: the non-conv steps — the bilinear upsampler's
+ *                    horizontal and vertical passes, residual and branch
+ *                    adds, int16 codes -> float output
  *
  * The generic builds are plain loops the compiler auto-vectorizes at
  * -O2/-O3 (verified by the perf_ringconv fp32 microbenchmarks). On
@@ -268,6 +272,61 @@ void dir_relu_qfirst_i32_i16(int16_t* const* dst,
 void quantize_f32_i16(int16_t* dst, const float* src, int64_t len, int frac,
                       int bits);
 
+/**
+ * Column blend of one int16 row, the horizontal pass of the separable
+ * fixed-point bilinear upsampler: for each i in [0, len),
+ *
+ *   dst[i] = src[cols[i]] * wts[2*i] + src[cols[i] + 1] * wts[2*i + 1]
+ *
+ * — one vpmaddwd lane over a gathered pair of neighbouring codes, both
+ * 16x16 products exact in int32 and their sum wrapping mod 2^32 (exact
+ * whenever it fits). Every cols[i] + 1 must index src. Identical bits
+ * on every dispatch target for all inputs.
+ */
+void lerp_cols_i16_i32(int32_t* dst, const int16_t* src, const int32_t* cols,
+                       const int16_t* wts, int64_t len);
+
+/**
+ * Two-row blend on int32 lanes, the vertical pass of the separable
+ * fixed-point bilinear upsampler: dst[i] = shift_round_saturate(
+ * wa * a[i] + wb * b[i], shift, bits) as an int16 code, with the
+ * products, the sum, the rounding add and a left shift wrapping mod
+ * 2^32. Equals the int64 quant::shift_round_saturate whenever
+ * |wa * a[i]| + |wb * b[i]| fits int32 and, as for requant_i32_i16,
+ * that bound plus 2^(shift-1) (or times 2^-shift) fits too. Same
+ * requirements on shift and bits as requant_i32_i16.
+ */
+void lerp_rows_i32_i16(int16_t* dst, const int32_t* a, const int32_t* b,
+                       int32_t wa, int32_t wb, int64_t len, int shift,
+                       int bits);
+
+/**
+ * Aligned add of two int16 code rows onto one output format:
+ *
+ *   dst[i] = srs(srs(a[i], sa, bits + 2) + srs(b[i], sb, bits + 2), 0, bits)
+ *
+ * where srs is quant::shift_round_saturate — the per-element formula of
+ * the QResidualNode / QTwoBranchNode oracle. Exact (int64-equal) for
+ * every |sa|, |sb| <= 63 and 1 <= bits <= 16: the AVX2 build runs int32
+ * lanes when -16 <= sa, sb <= 31, where |code| <= 2^15 keeps every
+ * intermediate inside int32, and the generic int64 loop otherwise.
+ * dst may alias a or b (the element is read before it is written).
+ */
+void add_aligned_i16(int16_t* dst, const int16_t* a, const int16_t* b,
+                     int64_t len, int sa, int sb, int bits);
+
+/**
+ * dst[i] = float(src[i] * 2^-frac) for i in [0, len): the dequantizer's
+ * double product rounded to float (QuantizedModel::dequantize). For
+ * -111 <= frac <= 126 the scale 2^-frac and every product with a code
+ * (|code| <= 2^15) are normal floats and the product is exact, so the
+ * kernel multiplies in float lanes; outside that range it keeps the
+ * double product. Bit-identical to the double product on every dispatch
+ * target for every frac.
+ */
+void dequantize_i16_f32(float* dst, const int16_t* src, int64_t len,
+                        int frac);
+
 namespace detail {
 // The portable builds of the row and integer kernels above (the
 // dispatch fallback), exposed so tests can pin the vector builds
@@ -294,6 +353,16 @@ void dir_relu_qfirst_i32_i16_generic(int16_t* const* dst,
                                      const int* out, int bits, int64_t len);
 void quantize_f32_i16_generic(int16_t* dst, const float* src, int64_t len,
                               int frac, int bits);
+void lerp_cols_i16_i32_generic(int32_t* dst, const int16_t* src,
+                               const int32_t* cols, const int16_t* wts,
+                               int64_t len);
+void lerp_rows_i32_i16_generic(int16_t* dst, const int32_t* a,
+                               const int32_t* b, int32_t wa, int32_t wb,
+                               int64_t len, int shift, int bits);
+void add_aligned_i16_generic(int16_t* dst, const int16_t* a, const int16_t* b,
+                             int64_t len, int sa, int sb, int bits);
+void dequantize_i16_f32_generic(float* dst, const int16_t* src, int64_t len,
+                                int frac);
 }  // namespace detail
 
 /**

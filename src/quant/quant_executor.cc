@@ -274,7 +274,7 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
             const IAct& x = ins[static_cast<size_t>(b)];
             const int h = x.shape[1], wd = x.shape[2];
             IAct& o = outs[static_cast<size_t>(b)];
-            o.reset({co, h, wd});
+            o.reset(co, h, wd);
             o.frac = out_frac;
             const int bh = band_rows(h, wd, K.pairs(), K.k());
             for (int y0 = 0; y0 < h; y0 += bh) {
@@ -301,81 +301,83 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
             vb->cells.assign(static_cast<size_t>(cells), 0);
         }
 
+        auto task = [&](int worker, int64_t ti) {
+            const ConvTask& t = tasks_[static_cast<size_t>(ti)];
+            const IAct& x = ins[static_cast<size_t>(t.img)];
+            IAct& o = outs[static_cast<size_t>(t.img)];
+            const int h = x.shape[1], wd = x.shape[2];
+            const int64_t brow = static_cast<int64_t>(t.y1 - t.y0) * wd;
+            const int64_t row0 = static_cast<int64_t>(t.y0) * wd;
+
+            std::vector<int32_t>& buf =
+                wband_[static_cast<size_t>(worker)];
+            if (buf.size() < static_cast<size_t>(gn * brow)) {
+                buf.resize(static_cast<size_t>(gn * brow));
+            }
+            if (util::fault_check("int8.kernel_throw")) {
+                throw std::runtime_error(
+                    "ringcnn: injected fault: int8 conv kernel task");
+            }
+            QuantConvKernel::Band& band =
+                stage_[static_cast<size_t>(worker)];
+            K.stage(x.v.data(), h, wd, t.g0 * gn, t.g1 * gn, t.y0, t.y1,
+                    band);
+
+            for (int g = t.g0; g < t.g1; ++g) {
+                const int base = g * gn;
+                const int32_t* brows[kMaxTuple];
+                int16_t* orows[kMaxTuple];
+                for (int i = 0; i < gn; ++i) {
+                    int32_t* acc = buf.data() + i * brow;
+                    K.conv_band(band, base + i, acc);
+                    brows[i] = acc;
+                    orows[i] = o.ch(base + i) + row0;
+                }
+
+                if (cs != nullptr) {
+                    // Interior sum of the raw accumulators, captured
+                    // before the epilogue consumes the band. Each
+                    // task owns its cells — no synchronization
+                    // needed, and int64 addition makes the later
+                    // reduction order-independent (bit-exact).
+                    const int pad = cs->k / 2;
+                    const int gy0 = std::max(t.y0, pad);
+                    const int gy1 = std::min(t.y1, h - pad);
+                    int64_t* cell = vb->cells.data() + t.cell +
+                                    static_cast<int64_t>(g - t.g0) * gn;
+                    for (int i = 0; i < gn; ++i) {
+                        int64_t sum = 0;
+                        for (int gy = gy0; gy < gy1; ++gy) {
+                            const int32_t* row =
+                                brows[i] +
+                                static_cast<int64_t>(gy - t.y0) * wd;
+                            for (int xx = pad; xx < wd - pad; ++xx) {
+                                sum += row[xx];
+                            }
+                        }
+                        cell[i] = sum;
+                    }
+                }
+
+                const size_t e = static_cast<size_t>(base);
+                if (req != nullptr) {
+                    simd::requant_i32_i16(orows[0], brows[0], brow, e1[e],
+                                          bits, req->relu_first);
+                } else if (dir->onthefly) {
+                    simd::dir_relu_otf_i32_i16(orows, brows, gn, &e1[e],
+                                               &e2[e], bits, brow);
+                } else {
+                    simd::dir_relu_qfirst_i32_i16(orows, brows, gn,
+                                                  &e1[e], &e2[e], &e3[e],
+                                                  bits, brow);
+                }
+            }
+        };
+        // A one-reference capture fits std::function's inline buffer, so
+        // handing the task to the pool allocates nothing.
         util::parallel_for_worker(
             static_cast<int64_t>(tasks_.size()),
-            [&](int worker, int64_t ti) {
-                const ConvTask& t = tasks_[static_cast<size_t>(ti)];
-                const IAct& x = ins[static_cast<size_t>(t.img)];
-                IAct& o = outs[static_cast<size_t>(t.img)];
-                const int h = x.shape[1], wd = x.shape[2];
-                const int64_t brow = static_cast<int64_t>(t.y1 - t.y0) * wd;
-                const int64_t row0 = static_cast<int64_t>(t.y0) * wd;
-
-                std::vector<int32_t>& buf =
-                    wband_[static_cast<size_t>(worker)];
-                if (buf.size() < static_cast<size_t>(gn * brow)) {
-                    buf.resize(static_cast<size_t>(gn * brow));
-                }
-                if (util::fault_check("int8.kernel_throw")) {
-                    throw std::runtime_error(
-                        "ringcnn: injected fault: int8 conv kernel task");
-                }
-                QuantConvKernel::Band& band =
-                    stage_[static_cast<size_t>(worker)];
-                K.stage(x.v.data(), h, wd, t.g0 * gn, t.g1 * gn, t.y0, t.y1,
-                        band);
-
-                for (int g = t.g0; g < t.g1; ++g) {
-                    const int base = g * gn;
-                    const int32_t* brows[kMaxTuple];
-                    int16_t* orows[kMaxTuple];
-                    for (int i = 0; i < gn; ++i) {
-                        int32_t* acc = buf.data() + i * brow;
-                        K.conv_band(band, base + i, acc);
-                        brows[i] = acc;
-                        orows[i] = o.ch(base + i) + row0;
-                    }
-
-                    if (cs != nullptr) {
-                        // Interior sum of the raw accumulators, captured
-                        // before the epilogue consumes the band. Each
-                        // task owns its cells — no synchronization
-                        // needed, and int64 addition makes the later
-                        // reduction order-independent (bit-exact).
-                        const int pad = cs->k / 2;
-                        const int gy0 = std::max(t.y0, pad);
-                        const int gy1 = std::min(t.y1, h - pad);
-                        int64_t* cell = vb->cells.data() + t.cell +
-                                        static_cast<int64_t>(g - t.g0) * gn;
-                        for (int i = 0; i < gn; ++i) {
-                            int64_t sum = 0;
-                            for (int gy = gy0; gy < gy1; ++gy) {
-                                const int32_t* row =
-                                    brows[i] +
-                                    static_cast<int64_t>(gy - t.y0) * wd;
-                                for (int xx = pad; xx < wd - pad; ++xx) {
-                                    sum += row[xx];
-                                }
-                            }
-                            cell[i] = sum;
-                        }
-                    }
-
-                    const size_t e = static_cast<size_t>(base);
-                    if (req != nullptr) {
-                        simd::requant_i32_i16(orows[0], brows[0], brow, e1[e],
-                                              bits, req->relu_first);
-                    } else if (dir->onthefly) {
-                        simd::dir_relu_otf_i32_i16(orows, brows, gn, &e1[e],
-                                                   &e2[e], bits, brow);
-                    } else {
-                        simd::dir_relu_qfirst_i32_i16(orows, brows, gn,
-                                                      &e1[e], &e2[e], &e3[e],
-                                                      bits, brow);
-                    }
-                }
-            },
-            threads_);
+            [&task](int worker, int64_t ti) { task(worker, ti); }, threads_);
 
         if (cs != nullptr) {
             vb->out_sums.assign(static_cast<size_t>(batch) * co, 0);
@@ -455,7 +457,8 @@ QuantExecutor::lower()
         // from, and a padded channel takes channel 0's.
         case OpKind::kPixelShuffle:
             steps_.unary(in, out, [r = op.arg](const IAct& x, IAct& o) {
-                o.reset(layout::pixel_shuffle_shape(x.shape, r));
+                // layout::pixel_shuffle_shape, without the Shape temporary.
+                o.reset(x.shape[0] / (r * r), x.shape[1] * r, x.shape[2] * r);
                 o.frac.resize(static_cast<size_t>(o.shape[0]));
                 for (size_t oc = 0; oc < o.frac.size(); ++oc) {
                     o.frac[oc] = x.frac[oc * static_cast<size_t>(r * r)];
@@ -465,7 +468,7 @@ QuantExecutor::lower()
             break;
         case OpKind::kPixelUnshuffle:
             steps_.unary(in, out, [r = op.arg](const IAct& x, IAct& o) {
-                o.reset(layout::pixel_unshuffle_shape(x.shape, r));
+                o.reset(x.shape[0] * r * r, x.shape[1] / r, x.shape[2] / r);
                 o.frac.resize(static_cast<size_t>(o.shape[0]));
                 for (size_t oc = 0; oc < o.frac.size(); ++oc) {
                     o.frac[oc] = x.frac[oc / static_cast<size_t>(r * r)];
@@ -475,7 +478,7 @@ QuantExecutor::lower()
             break;
         case OpKind::kChannelPad:
             steps_.unary(in, out, [want = op.arg](const IAct& x, IAct& o) {
-                o.reset({want, x.shape[1], x.shape[2]});
+                o.reset(want, x.shape[1], x.shape[2]);
                 o.frac.assign(static_cast<size_t>(want), x.frac[0]);
                 std::copy(x.frac.begin(), x.frac.end(), o.frac.begin());
                 layout::channel_pad(x.v.data(), x.shape, want, o.v.data());
@@ -483,7 +486,7 @@ QuantExecutor::lower()
             break;
         case OpKind::kCropChannels:
             steps_.unary(in, out, [keep = op.arg](const IAct& x, IAct& o) {
-                o.reset({keep, x.shape[1], x.shape[2]});
+                o.reset(keep, x.shape[1], x.shape[2]);
                 o.frac.assign(x.frac.begin(), x.frac.begin() + keep);
                 layout::crop_channels(x.v.data(), x.shape, keep, o.v.data());
             });
@@ -491,33 +494,23 @@ QuantExecutor::lower()
         case OpKind::kResidualAdd:
         case OpKind::kBranchAdd: {
             // Both operands shift onto the node's output format, then
-            // add and saturate. Integer addition commutes, so one step
-            // serves (body, skip) and (main, skip). In place over in0
-            // when the plan allows it: each channel's shifts are read
-            // before o.frac is overwritten.
+            // add and saturate (simd::add_aligned_i16). Integer addition
+            // commutes, so one step serves (body, skip) and (main, skip).
+            // In place over in0 when the plan allows it: each channel's
+            // shifts are read before o.frac is overwritten.
             const auto fmt = op.kind == OpKind::kResidualAdd
                                  ? add_format<QResidualNode>(op.node)
                                  : add_format<QTwoBranchNode>(op.node);
             steps_.binary(in, op.in1_slot, out,
                           [target = fmt.first, bits = fmt.second](
                               const IAct& a, const IAct& b, IAct& o) {
-                const int64_t plane = a.plane();
                 o.reset(a.shape);  // no-op when in place
                 for (int ch = 0; ch < a.shape[0]; ++ch) {
                     const int t = (*target)[static_cast<size_t>(ch)];
-                    const int sa = a.frac[static_cast<size_t>(ch)] - t;
-                    const int sb = b.frac[static_cast<size_t>(ch)] - t;
-                    const int16_t* pa = a.ch(ch);
-                    const int16_t* pb = b.ch(ch);
-                    int16_t* po = o.ch(ch);
-                    for (int64_t p = 0; p < plane; ++p) {
-                        const int64_t va =
-                            shift_round_saturate(pa[p], sa, bits + 2);
-                        const int64_t vb =
-                            shift_round_saturate(pb[p], sb, bits + 2);
-                        po[p] = static_cast<int16_t>(
-                            shift_round_saturate(va + vb, 0, bits));
-                    }
+                    simd::add_aligned_i16(
+                        o.ch(ch), a.ch(ch), b.ch(ch), a.plane(),
+                        a.frac[static_cast<size_t>(ch)] - t,
+                        b.frac[static_cast<size_t>(ch)] - t, bits);
                 }
                 o.frac = *target;
             });
@@ -525,47 +518,8 @@ QuantExecutor::lower()
         }
         case OpKind::kUpsample: {
             const auto* up = static_cast<const QBilinearNode*>(op.node);
-            steps_.unary(in, out, [up](const IAct& x, IAct& o) {
-                const int r = up->r;
-                const int wbits = 2 * ceil_log2(2 * r);
-                const int c = x.shape[0], h = x.shape[1], w = x.shape[2];
-                const int ho = h * r, wo = w * r;
-                o.reset({c, ho, wo});
-                o.frac = up->target;
-                for (int ic = 0; ic < c; ++ic) {
-                    const int shift = x.frac[static_cast<size_t>(ic)] + wbits -
-                                      up->target[static_cast<size_t>(ic)];
-                    const int16_t* src = x.ch(ic);
-                    int16_t* dst = o.ch(ic);
-                    for (int oy = 0; oy < ho; ++oy) {
-                        int num_y = 2 * oy + 1 - r;
-                        num_y = std::max(0, std::min(num_y, 2 * r * (h - 1)));
-                        const int y0 = num_y / (2 * r);
-                        const int wy = num_y - 2 * r * y0;
-                        const int y1 = std::min(y0 + 1, h - 1);
-                        for (int ox = 0; ox < wo; ++ox) {
-                            int num_x = 2 * ox + 1 - r;
-                            num_x =
-                                std::max(0, std::min(num_x, 2 * r * (w - 1)));
-                            const int x0 = num_x / (2 * r);
-                            const int wx = num_x - 2 * r * x0;
-                            const int x1 = std::min(x0 + 1, w - 1);
-                            const int64_t acc =
-                                static_cast<int64_t>(2 * r - wy) *
-                                    (2 * r - wx) *
-                                    src[static_cast<int64_t>(y0) * w + x0] +
-                                static_cast<int64_t>(2 * r - wy) * wx *
-                                    src[static_cast<int64_t>(y0) * w + x1] +
-                                static_cast<int64_t>(wy) * (2 * r - wx) *
-                                    src[static_cast<int64_t>(y1) * w + x0] +
-                                static_cast<int64_t>(wy) * wx *
-                                    src[static_cast<int64_t>(y1) * w + x1];
-                            dst[static_cast<int64_t>(oy) * wo + ox] =
-                                static_cast<int16_t>(shift_round_saturate(
-                                    acc, shift, up->bits));
-                        }
-                    }
-                }
+            steps_.unary(in, out, [this, up](const IAct& x, IAct& o) {
+                upsample(*up, x, o);
             });
             break;
         }
@@ -612,18 +566,96 @@ QuantExecutor::load(const Tensor& x, IAct& e) const
 void
 QuantExecutor::output_tensor(int b, Tensor& out) const
 {
-    // Same double product as QuantizedModel::dequantize, so the floats
-    // are bit-identical.
+    // simd::dequantize_i16_f32 is bit-identical to the double product of
+    // QuantizedModel::dequantize.
     const IAct& o = steps_.out(b);
     out.reset(o.shape);
     const int64_t plane = o.plane();
     for (int c = 0; c < o.shape[0]; ++c) {
-        const double scale =
-            std::ldexp(1.0, -o.frac[static_cast<size_t>(c)]);
-        const int16_t* src = o.ch(c);
-        float* dst = out.data() + c * plane;
-        for (int64_t p = 0; p < plane; ++p) {
-            dst[p] = static_cast<float>(src[p] * scale);
+        simd::dequantize_i16_f32(out.data() + c * plane, o.ch(c), plane,
+                                 o.frac[static_cast<size_t>(c)]);
+    }
+}
+
+void
+QuantExecutor::upsample(const QBilinearNode& up, const IAct& x, IAct& o)
+{
+    // QBilinearNode::forward's 4-tap sum, split into a horizontal pass
+    // over the h input rows and a vertical pass per output row. Integer
+    // addition is associative, so the integers are the 4-tap formula's;
+    // every partial sum is bounded by |code| * (2r)^2 with |code| <=
+    // 2^15. Where that bound and a channel's shift do not fit int32
+    // lanes, the oracle computes the step.
+    const int r = up.r;
+    const int c = x.shape[0], h = x.shape[1], w = x.shape[2];
+    const int wbits = 2 * ceil_log2(2 * r);
+    const double bound = std::ldexp(4.0 * r * r, 15);
+    auto shift_of = [&](int ic) {
+        return x.frac[static_cast<size_t>(ic)] + wbits -
+               up.target[static_cast<size_t>(ic)];
+    };
+    for (int ic = 0; ic < c; ++ic) {
+        if (!shift_fits_i32(bound, shift_of(ic))) {
+            store_codes(up.forward(to_qact(x)), o);
+            return;
+        }
+    }
+
+    // Source position of output index i in units of 1/(2r), clamped to
+    // the input: the lower tap, and the weight of the upper one.
+    auto tap = [r](int i, int n, int& i0, int& wt) {
+        const int num = std::clamp(2 * i + 1 - r, 0, 2 * r * (n - 1));
+        i0 = num / (2 * r);
+        wt = num - 2 * r * i0;
+    };
+    // Column table: the pair (src[x0], src[x0 + 1]) and its weights. At
+    // the right edge the oracle's two taps are both column w - 1, which
+    // is the pair (w - 2, w - 1) weighted (0, 2r).
+    const int ho = h * r, wo = w * r;
+    up_cols_.resize(static_cast<size_t>(wo));
+    up_wts_.resize(2 * static_cast<size_t>(wo));
+    for (int ox = 0; ox < wo; ++ox) {
+        int x0 = 0, wx = 0;
+        tap(ox, w, x0, wx);
+        const bool edge = x0 == w - 1;
+        up_cols_[static_cast<size_t>(ox)] = edge ? x0 - 1 : x0;
+        up_wts_[2 * static_cast<size_t>(ox)] =
+            static_cast<int16_t>(edge ? 0 : 2 * r - wx);
+        up_wts_[2 * static_cast<size_t>(ox) + 1] =
+            static_cast<int16_t>(edge ? 2 * r : wx);
+    }
+    // Two horizontally blended rows: input row y sits in slot y % 2.
+    up_rows_.resize(2 * static_cast<size_t>(wo));
+    auto blended = [&](int y) {
+        return up_rows_.data() + static_cast<int64_t>(y % 2) * wo;
+    };
+
+    o.reset(c, ho, wo);
+    o.frac = up.target;
+    for (int ic = 0; ic < c; ++ic) {
+        const int16_t* src = x.ch(ic);
+        const int shift = shift_of(ic);
+        int16_t* dst = o.ch(ic);
+        int ready = -1;  // last input row blended
+        for (int oy = 0; oy < ho; ++oy) {
+            int y0 = 0, wy = 0;
+            tap(oy, h, y0, wy);
+            const int y1 = std::min(y0 + 1, h - 1);
+            // y0 never decreases, so the two slots hold y1 - 1 and y1.
+            while (ready < y1) {
+                ++ready;
+                const int16_t* s = src + static_cast<int64_t>(ready) * w;
+                int32_t* row = blended(ready);
+                if (w == 1) {  // no pair to gather: both taps are s[0]
+                    std::fill(row, row + wo, 2 * r * s[0]);
+                } else {
+                    simd::lerp_cols_i16_i32(row, s, up_cols_.data(),
+                                            up_wts_.data(), wo);
+                }
+            }
+            simd::lerp_rows_i32_i16(dst + static_cast<int64_t>(oy) * wo,
+                                    blended(y0), blended(y1), 2 * r - wy, wy,
+                                    wo, shift, up.bits);
         }
     }
 }

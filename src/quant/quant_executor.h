@@ -11,7 +11,8 @@
  *
  *  - activations are int16 codes end to end (feature widths 2..16):
  *    the float entry points quantize straight into the entry slot with
- *    simd::quantize_f32_i16 and dequantize straight from the out slot;
+ *    simd::quantize_f32_i16 and dequantize straight from the out slot
+ *    with simd::dequantize_i16_f32;
  *  - every QConvNode becomes a core::QuantConvKernel — int8 weights
  *    packed as input-channel pair taps, int32 bias — and each conv task
  *    stages the zero-haloed int16 pair rows its band reads, then runs
@@ -26,12 +27,17 @@
  *    int16 activation arena of a plan::StepList — the arena, batch
  *    growth and step loop the fp32 executor shares — recycled by the
  *    arena planner's compile-time liveness; after the first run the
- *    steady state performs no heap allocations. The shuffles, pad and
- *    crop run the element-type templates of tensor/layout_ops.h (the
- *    fp32 executor's code) and add only the per-channel frac
- *    bookkeeping; residual and two-branch adds are one aligned-add step
- *    (integer addition commutes, so operand order does not matter);
- *    the fixed-point bilinear upsampler is its own step;
+ *    steady state performs no heap allocations with ABFT off (pinned
+ *    by tests/test_alloc_steady_state.cc; with ABFT on,
+ *    plan::abft_input_sums_i16 allocates once per image and conv). The
+ *    shuffles, pad and crop run the element-type templates of
+ *    tensor/layout_ops.h (the fp32 executor's code) and add only the
+ *    per-channel frac bookkeeping; residual and two-branch adds are one
+ *    simd::add_aligned_i16 pass per channel (integer addition commutes,
+ *    so operand order does not matter); the fixed-point bilinear
+ *    upsampler runs separably — one simd::lerp_cols_i16_i32 pass per
+ *    input row into int32 rows, then one simd::lerp_rows_i32_i16 blend,
+ *    round and saturate per output row;
  *  - conv work parallelizes across (image, row band, output-group
  *    chunk) tasks on the persistent util::ThreadPool, each worker with
  *    its own staging and accumulator band.
@@ -46,9 +52,14 @@
  * and the epilogue's static shifts that every aligned, butterflied and
  * rounded epilogue intermediate fits int32 too. A conv that fails
  * either proof — or whose weights exceed int8 — compiles onto the
- * scalar oracle node instead. tests/test_quant_executor.cc pins the
- * equivalence raw-integer by raw-integer across rings, shapes,
- * options, feature widths and thread counts.
+ * scalar oracle node instead. The upsampler's separable sums are the
+ * 4-tap formula's integers (addition associates), bounded by
+ * |code| * (2r)^2; where that bound and a channel's shift do not fit
+ * int32 lanes, the step runs the QBilinearNode oracle. The aligned add
+ * and the dequantize are exact for every shift and frac.
+ * tests/test_quant_executor.cc pins the equivalence raw-integer by
+ * raw-integer across rings, shapes, options, feature widths and thread
+ * counts.
  *
  * The executor holds pointers into the model's node graph: the
  * QuantizedModel must outlive it. One executor serves one caller at a
@@ -155,11 +166,17 @@ class QuantExecutor
         }
         int16_t* ch(int c) { return v.data() + c * plane(); }
         const int16_t* ch(int c) const { return v.data() + c * plane(); }
-        void reset(const Shape& s)
+        /** Re-shapes to c x h x w in place: no Shape temporary, and no
+         *  allocation once the buffers hold the size. */
+        void reset(int c, int h, int w)
         {
-            shape = s;
-            v.resize(static_cast<size_t>(shape_numel(s)));
+            shape.resize(3);
+            shape[0] = c;
+            shape[1] = h;
+            shape[2] = w;
+            v.resize(static_cast<size_t>(c) * h * w);
         }
+        void reset(const Shape& s) { reset(s[0], s[1], s[2]); }
     };
 
     /** Output rows [y0, y1) of output groups [g0, g1) of one image;
@@ -187,6 +204,9 @@ class QuantExecutor
     void load(const QAct& q, IAct& e) const;
     /** Dequantizes image b's result. */
     void output_tensor(int b, Tensor& out) const;
+    /** The bilinear upsample step: separable passes on int32 lanes, or
+     *  the QBilinearNode oracle where their bound is not proven. */
+    void upsample(const QBilinearNode& up, const IAct& x, IAct& o);
 
     QuantExecOptions opt_;
     QuantOptions qopt_;
@@ -202,6 +222,11 @@ class QuantExecutor
     std::vector<std::vector<int32_t>> wband_;  ///< per-worker accumulators
     std::vector<QuantConvKernel::Band> stage_; ///< per-worker staged rows
     std::vector<ConvTask> tasks_;              ///< reused task list
+    /** Upsample scratch, grow-only and touched only by the calling
+     *  thread: per output column the first of its two source columns
+     *  and their weight pair, then two horizontally blended rows. */
+    std::vector<int32_t> up_cols_, up_rows_;
+    std::vector<int16_t> up_wts_;
     int threads_ = 1;
     int fast_convs_ = 0, scalar_convs_ = 0;
 };

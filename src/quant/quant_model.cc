@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "core/ring_conv.h"
 #include "core/ring_conv_engine.h"
@@ -684,6 +686,14 @@ convert_layer(nn::Layer* l, Ctx& ctx)
         auto node = std::make_unique<QBilinearNode>();
         const Shape in = ctx.acts.front().shape();
         node->r = l->out_shape(in)[1] / in[1];
+        // The 4-tap weights sum to (2r)^2 and the node shifts by
+        // 2 * ceil_log2(2r) bits: the two agree only for powers of two.
+        if ((node->r & (node->r - 1)) != 0) {
+            throw std::invalid_argument(
+                "ringcnn: the fixed-point bilinear upsampler needs a "
+                "power-of-two factor, got r = " +
+                std::to_string(node->r));
+        }
         node->bits = fbits;
         advance(ctx, l);
         Ctx out_ctx{ctx.opt, ctx.acts, {}, nullptr};

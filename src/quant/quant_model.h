@@ -198,7 +198,9 @@ class QuantizedModel
 {
   public:
     /**
-     * Converts a float model.
+     * Converts a float model. Throws std::invalid_argument for an
+     * UpsampleBilinearLayer whose factor is not a power of two (the
+     * fixed-point upsampler's shift divides by (2r)^2 only then).
      * @param calib calibration images (float, network-input domain);
      *        at least one is required to set feature ranges.
      */

@@ -37,8 +37,22 @@ pixel_unshuffle_shape(const Shape& in, int r)
     return {in[0] * r * r, in[1] / r, in[2] / r};
 }
 
+/** One output row of pixel_shuffle: out[i*r + dx] = src[dx*plane + i]
+ *  for the r source rows of one dy. R > 0 fixes r at compile time so
+ *  the interleave vectorizes; R == 0 takes r at run time. */
+template <int R, class T>
+void
+pixel_shuffle_row(const T* src, int64_t plane, int w, int r, T* out)
+{
+    if constexpr (R > 0) r = R;
+    for (int i = 0; i < w; ++i) {
+        for (int dx = 0; dx < r; ++dx) out[i * r + dx] = src[dx * plane + i];
+    }
+}
+
 /** Depth-to-space: input channel (c*r + dy)*r + dx lands on rows
- *  y*r + dy and columns x*r + dx of output channel c. */
+ *  y*r + dy and columns x*r + dx of output channel c. Output rows are
+ *  written in order, each once and contiguously. */
 template <class T>
 void
 pixel_shuffle(const T* x, const Shape& in, int r, T* out)
@@ -46,15 +60,14 @@ pixel_shuffle(const T* x, const Shape& in, int r, T* out)
     assert(in[0] % (r * r) == 0);
     const int c = in[0] / (r * r), h = in[1], w = in[2];
     const int64_t plane = static_cast<int64_t>(h) * w;
-    const int64_t wo = static_cast<int64_t>(w) * r;
+    auto row = r == 2   ? pixel_shuffle_row<2, T>
+               : r == 4 ? pixel_shuffle_row<4, T>
+                        : pixel_shuffle_row<0, T>;
     for (int oc = 0; oc < c; ++oc) {
-        for (int dy = 0; dy < r; ++dy) {
-            for (int dx = 0; dx < r; ++dx) {
-                const T* src = x + ((oc * r + dy) * r + dx) * plane;
-                T* dst = out + oc * plane * r * r + dy * wo + dx;
-                for (int y = 0; y < h; ++y, src += w, dst += r * wo) {
-                    for (int i = 0; i < w; ++i) dst[i * r] = src[i];
-                }
+        for (int y = 0; y < h; ++y) {
+            for (int dy = 0; dy < r; ++dy, out += static_cast<int64_t>(w) * r) {
+                row(x + (oc * r + dy) * r * plane + static_cast<int64_t>(y) * w,
+                    plane, w, r, out);
             }
         }
     }

@@ -7,16 +7,21 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <random>
+#include <stdexcept>
+#include <vector>
 
 #include "core/ring_conv.h"
 #include "core/ring_conv_engine.h"
 #include "core/simd.h"
 #include "data/tasks.h"
 #include "models/backbones.h"
+#include "nn/layer.h"
+#include "nn/model.h"
 #include "nn/trainer.h"
 #include "quant/quant_model.h"
 #include "tensor/image_ops.h"
@@ -294,6 +299,224 @@ TEST(SimdEpilogues, GenericAndDispatchedMatchInt64Oracle)
                 }
             }
         }
+    }
+}
+
+TEST(SimdNonConvSteps, LerpColsGenericAndDispatchedMatchInt64Oracle)
+{
+    // The bilinear upsampler's horizontal pass: gathered code pairs
+    // times weight pairs, against int64 products reduced mod 2^32, over
+    // every pair of an exactly-sized row (the last pair ends on the
+    // row's last element), codes at the int16 rims, the weights the
+    // column table uses at r = 4 and arbitrary int16 weights (where a
+    // pair sum wraps), and tails shorter than a vector.
+    std::mt19937 rng(92);
+    std::uniform_int_distribution<int> any16(INT16_MIN, INT16_MAX);
+    for (const int64_t w : {2, 3, 9, 17, 64}) {
+        std::vector<int16_t> src(static_cast<size_t>(w));
+        for (int64_t i = 0; i < w; ++i) {
+            src[static_cast<size_t>(i)] =
+                i % 3 == 0 ? (i % 2 == 0 ? INT16_MIN : INT16_MAX)
+                           : static_cast<int16_t>(any16(rng));
+        }
+        for (const int64_t len : {INT64_C(1), INT64_C(7), INT64_C(8), INT64_C(9),
+                                  INT64_C(16), INT64_C(17), 4 * w}) {
+            std::uniform_int_distribution<int32_t> col(0,
+                                                       static_cast<int>(w) - 2);
+            std::uniform_int_distribution<int> wx(0, 8);
+            for (const bool bilinear : {true, false}) {
+                std::vector<int32_t> cols(static_cast<size_t>(len));
+                std::vector<int16_t> wts(2 * cols.size());
+                for (int64_t i = 0; i < len; ++i) {
+                    cols[static_cast<size_t>(i)] =
+                        i == 0 ? static_cast<int32_t>(w - 2) : col(rng);
+                    const int t = wx(rng);
+                    wts[2 * static_cast<size_t>(i)] = static_cast<int16_t>(
+                        bilinear ? 8 - t : any16(rng));
+                    wts[2 * static_cast<size_t>(i) + 1] =
+                        static_cast<int16_t>(bilinear ? t : any16(rng));
+                }
+                std::vector<int32_t> g(cols.size()), d(cols.size());
+                simd::detail::lerp_cols_i16_i32_generic(
+                    g.data(), src.data(), cols.data(), wts.data(), len);
+                simd::lerp_cols_i16_i32(d.data(), src.data(), cols.data(),
+                                        wts.data(), len);
+                for (int64_t i = 0; i < len; ++i) {
+                    const size_t c = static_cast<size_t>(
+                        cols[static_cast<size_t>(i)]);
+                    const int64_t v =
+                        static_cast<int64_t>(src[c]) *
+                            wts[2 * static_cast<size_t>(i)] +
+                        static_cast<int64_t>(src[c + 1]) *
+                            wts[2 * static_cast<size_t>(i) + 1];
+                    EXPECT_EQ(g[static_cast<size_t>(i)],
+                              static_cast<int32_t>(static_cast<uint32_t>(
+                                  static_cast<uint64_t>(v))))
+                        << "w=" << w << " len=" << len << " i=" << i;
+                }
+                EXPECT_EQ(d, g) << simd::active_isa() << " w=" << w
+                                << " len=" << len;
+            }
+        }
+    }
+}
+
+TEST(SimdNonConvSteps, LerpRowsGenericAndDispatchedMatchInt64Oracle)
+{
+    // The bilinear upsampler's vertical pass on int32 lanes against the
+    // int64 oracle arithmetic, for blended rows bounded by |code| * 64
+    // (r = 4, the bound QuantExecutor proves) and every shift that
+    // bound admits, then both builds against each other past it, where
+    // the lanes wrap.
+    std::mt19937 rng(90);
+    for (const int bits : {2, 4, 8, 12, 16}) {
+        for (const int64_t len : {1, 7, 8, 9, 15, 16, 17, 33}) {
+            std::uniform_int_distribution<int32_t> row(-(1 << 18),
+                                                       (1 << 18) - 1);
+            std::uniform_int_distribution<int32_t> weight(0, 8);
+            for (const int shift : {-9, -1, 0, 1, 6, 12, 20, 31}) {
+                std::vector<int32_t> a(static_cast<size_t>(len)), b(a);
+                for (auto& v : a) v = row(rng);
+                for (auto& v : b) v = row(rng);
+                a[0] = -(1 << 18);
+                b[0] = -(1 << 18);
+                const int32_t wa = weight(rng), wb = 8 - wa;
+                std::vector<int16_t> g(a.size()), d(a.size());
+                simd::detail::lerp_rows_i32_i16_generic(
+                    g.data(), a.data(), b.data(), wa, wb, len, shift, bits);
+                simd::lerp_rows_i32_i16(d.data(), a.data(), b.data(), wa, wb,
+                                        len, shift, bits);
+                for (int64_t i = 0; i < len; ++i) {
+                    const int64_t v =
+                        static_cast<int64_t>(wa) * a[static_cast<size_t>(i)] +
+                        static_cast<int64_t>(wb) * b[static_cast<size_t>(i)];
+                    EXPECT_EQ(g[static_cast<size_t>(i)],
+                              shift_round_saturate(v, shift, bits))
+                        << "bits=" << bits << " shift=" << shift
+                        << " len=" << len << " i=" << i;
+                }
+                EXPECT_EQ(d, g) << simd::active_isa();
+            }
+            // Past the proven bound the lanes wrap mod 2^32, identically
+            // on both builds.
+            std::vector<int32_t> a(static_cast<size_t>(len)), b(a);
+            for (auto& v : a) v = static_cast<int32_t>(rng());
+            for (auto& v : b) v = static_cast<int32_t>(rng());
+            for (const int shift : {-31, -12, 0, 31}) {
+                std::vector<int16_t> g(a.size()), d(a.size());
+                simd::detail::lerp_rows_i32_i16_generic(
+                    g.data(), a.data(), b.data(), 1000, -77, len, shift, bits);
+                simd::lerp_rows_i32_i16(d.data(), a.data(), b.data(), 1000,
+                                        -77, len, shift, bits);
+                EXPECT_EQ(d, g) << simd::active_isa() << " wrapping";
+            }
+        }
+    }
+}
+
+TEST(SimdNonConvSteps, AddAlignedGenericAndDispatchedMatchInt64Oracle)
+{
+    // The aligned add against the QResidualNode / QTwoBranchNode
+    // formula in int64, over every int16 code range edge, shifts on
+    // both sides of the int32-lane domain [-16, 31], tails shorter than
+    // a vector, and dst aliasing the first operand (the in-place add).
+    std::mt19937 rng(91);
+    const std::vector<int> shifts{-40, -17, -16, -9, -1, 0, 1, 2, 7,
+                                  15, 30, 31, 32, 40};
+    std::uniform_int_distribution<size_t> pick(0, shifts.size() - 1);
+    for (const int bits : {2, 4, 8, 12, 16}) {
+        const int32_t edge = 1 << (bits - 1);
+        const std::vector<int16_t> edges{
+            static_cast<int16_t>(-edge), static_cast<int16_t>(edge - 1),
+            static_cast<int16_t>(std::min(edge, 32767)), INT16_MIN, INT16_MAX,
+            0, -1, 1};
+        std::uniform_int_distribution<int> code(INT16_MIN, INT16_MAX);
+        for (const int64_t len : {1, 7, 8, 9, 15, 16, 17, 40}) {
+            for (int trial = 0; trial < 24; ++trial) {
+                // Every listed shift pairing shows up across the trials.
+                const int sa = trial < static_cast<int>(shifts.size())
+                                   ? shifts[static_cast<size_t>(trial)]
+                                   : shifts[pick(rng)];
+                const int sb = shifts[pick(rng)];
+                std::vector<int16_t> a(static_cast<size_t>(len)), b(a);
+                for (int64_t i = 0; i < len; ++i) {
+                    const bool at_edge = (i + trial) % 3 == 0;
+                    a[static_cast<size_t>(i)] =
+                        at_edge ? edges[static_cast<size_t>(i) % edges.size()]
+                                : static_cast<int16_t>(code(rng));
+                    b[static_cast<size_t>(i)] =
+                        at_edge ? edges[static_cast<size_t>(i + 3) %
+                                        edges.size()]
+                                : static_cast<int16_t>(code(rng));
+                }
+                std::vector<int16_t> g(a.size());
+                simd::detail::add_aligned_i16_generic(g.data(), a.data(),
+                                                      b.data(), len, sa, sb,
+                                                      bits);
+                std::vector<int16_t> d = a;  // in place: dst == a
+                simd::add_aligned_i16(d.data(), d.data(), b.data(), len, sa,
+                                      sb, bits);
+                for (int64_t i = 0; i < len; ++i) {
+                    const int64_t va = shift_round_saturate(
+                        a[static_cast<size_t>(i)], sa, bits + 2);
+                    const int64_t vb = shift_round_saturate(
+                        b[static_cast<size_t>(i)], sb, bits + 2);
+                    EXPECT_EQ(g[static_cast<size_t>(i)],
+                              shift_round_saturate(va + vb, 0, bits))
+                        << "bits=" << bits << " sa=" << sa << " sb=" << sb
+                        << " a=" << a[static_cast<size_t>(i)]
+                        << " b=" << b[static_cast<size_t>(i)];
+                }
+                EXPECT_EQ(d, g) << simd::active_isa() << " bits=" << bits
+                                << " sa=" << sa << " sb=" << sb
+                                << " len=" << len;
+            }
+        }
+    }
+}
+
+TEST(SimdNonConvSteps, DequantizeBitIdenticalToDoubleProductForEveryCode)
+{
+    // Every int16 code at frac 0..20, plus the edges of the float-lane
+    // domain [-111, 126] and fracs past it on both sides (the double
+    // product), against QuantizedModel::dequantize's arithmetic. frac
+    // stays >= -112, where every product is still a finite float.
+    std::vector<int16_t> codes;
+    for (int v = INT16_MIN; v <= INT16_MAX; ++v) {
+        codes.push_back(static_cast<int16_t>(v));
+    }
+    const int64_t n = static_cast<int64_t>(codes.size());
+    std::vector<int> fracs;
+    for (int f = 0; f <= 20; ++f) fracs.push_back(f);
+    for (const int f : {-112, -111, -20, 126, 127, 140, 149, 160}) {
+        fracs.push_back(f);
+    }
+    std::vector<float> g(codes.size()), d(codes.size());
+    for (const int frac : fracs) {
+        const double scale = std::ldexp(1.0, -frac);
+        simd::detail::dequantize_i16_f32_generic(g.data(), codes.data(), n,
+                                                 frac);
+        // Offset by one element so the vector build also meets a tail.
+        simd::dequantize_i16_f32(d.data(), codes.data(), n - 1, frac);
+        d[static_cast<size_t>(n - 1)] = g[static_cast<size_t>(n - 1)];
+        int64_t mismatches = 0;
+        for (int64_t i = 0; i < n; ++i) {
+            const float want =
+                static_cast<float>(codes[static_cast<size_t>(i)] * scale);
+            uint32_t w, gb, db;
+            std::memcpy(&w, &want, sizeof w);
+            std::memcpy(&gb, &g[static_cast<size_t>(i)], sizeof gb);
+            std::memcpy(&db, &d[static_cast<size_t>(i)], sizeof db);
+            if ((gb != w || db != w) && ++mismatches <= 5) {
+                ADD_FAILURE() << "frac=" << frac << " code "
+                              << codes[static_cast<size_t>(i)] << " want "
+                              << want << " generic "
+                              << g[static_cast<size_t>(i)] << " "
+                              << simd::active_isa() << " "
+                              << d[static_cast<size_t>(i)];
+            }
+        }
+        EXPECT_EQ(mismatches, 0) << "frac=" << frac;
     }
 }
 
@@ -576,6 +799,34 @@ TEST_F(QuantModelTest, SrModelWithBilinearSkip)
     const Tensor yq = qm.forward(x);
     EXPECT_EQ(yq.shape(), (Shape{3, 32, 32}));
     EXPECT_GT(psnr(yf, yq), 30.0);
+}
+
+TEST_F(QuantModelTest, BilinearFactorMustBeAPowerOfTwo)
+{
+    // The fixed-point upsampler shifts its 4-tap sum by 2 * ceil_log2(2r)
+    // bits while the weights sum to (2r)^2: at r = 3 a constant 0.5
+    // image read back 0.28. Conversion refuses such factors, and the
+    // powers of two reproduce the constant exactly.
+    auto model = [](int r) {
+        return nn::Model("bilinear",
+                         std::make_unique<nn::UpsampleBilinearLayer>(r));
+    };
+    Tensor half({3, 5, 7});
+    half.fill(0.5f);
+    for (const int r : {3, 5, 6}) {
+        nn::Model m = model(r);
+        EXPECT_THROW(QuantizedModel(m, {half}), std::invalid_argument)
+            << "r=" << r;
+    }
+    for (const int r : {2, 4}) {
+        nn::Model m = model(r);
+        const QuantizedModel qm(m, {half});
+        const Tensor y = qm.forward(half);
+        ASSERT_EQ(y.shape(), (Shape{3, 5 * r, 7 * r}));
+        for (int64_t i = 0; i < y.numel(); ++i) {
+            ASSERT_EQ(y[i], 0.5f) << "r=" << r << " flat index " << i;
+        }
+    }
 }
 
 TEST_F(QuantModelTest, TrainedModelSmallQuantDrop)

@@ -10,8 +10,10 @@
  * component-wise vs uniform Q-formats, and thread counts, plus 100
  * seeded random (weights, Q-format, feature width, input) draws, the
  * full ERNet-PU (odd widths included), SRResNet and SR4ERNet graphs
- * (pad/crop/shuffle/residual/two-branch/bilinear nodes), and the
- * boundary of the static int32 epilogue proof.
+ * (pad/crop/shuffle/residual/two-branch/bilinear nodes) including the
+ * served SR4ERNet configuration, a shuffle + bilinear two-branch graph
+ * over tiny sizes and shifts on both sides of the upsampler's int32
+ * bound, and the boundary of the static int32 epilogue proof.
  */
 #include <gtest/gtest.h>
 
@@ -209,6 +211,94 @@ TEST(QuantExecutorModel, Sr4ErnetGraphBitExact)
     EXPECT_EQ(ex.scalar_conv_count(), 0);
     const QAct in = qm.quantize_input(data::synthetic_image(3, 11, 13, rng));
     expect_bit_identical(qm.root()->forward(in), ex.run(in), "sr4_ernet RI4");
+}
+
+TEST(QuantExecutorModel, Sr4ErnetServedConfigBitExact)
+{
+    // The configuration screen_sr serves: default ErnetConfig, RI4 fH,
+    // one 64x64 tile, every conv on the paired-tap kernels.
+    nn::Model m = models::build_sr4_ernet(models::Algebra::with_fh("RI4"),
+                                          models::ErnetConfig{});
+    std::mt19937 rng(909);
+    std::vector<Tensor> calib;
+    for (int i = 0; i < 2; ++i) {
+        calib.push_back(data::synthetic_image(3, 64, 64, rng));
+    }
+    const QuantizedModel qm(m, calib);
+    ThreadsEnv env(4);
+    QuantExecutor ex(qm);
+    EXPECT_EQ(ex.scalar_conv_count(), 0);
+    const Tensor x = data::synthetic_image(3, 64, 64, rng);
+    const QAct in = qm.quantize_input(x);
+    const QAct oracle = qm.root()->forward(in);
+    expect_bit_identical(oracle, ex.run(in), "sr4_ernet served config");
+    const Tensor y = ex.forward(x);
+    const Tensor want = QuantizedModel::dequantize(oracle);
+    ASSERT_EQ(y.shape(), want.shape());
+    for (int64_t i = 0; i < y.numel(); ++i) {
+        ASSERT_EQ(y[i], want[i]) << "flat index " << i;
+    }
+}
+
+TEST(QuantExecutorModel, ShuffleAndBilinearBranchesBitExact)
+{
+    // PixelShuffle(r) added to a bilinear x r upsample of the first
+    // channels — SR4ERNet's tail — over tiny, one-row, one-column and
+    // odd sizes, with input formats that give the upsampler and both
+    // add operands negative, zero and positive shifts. At shift -12 the
+    // upsampler's bound |code| * (2r)^2 * 2^12 passes 2^31 - 1, so that
+    // step takes the QBilinearNode oracle.
+    for (const int r : {2, 4}) {
+        const int c = 2;
+        auto skip = std::make_unique<nn::Sequential>();
+        skip->add(std::make_unique<nn::CropChannels>(c));
+        skip->add(std::make_unique<nn::UpsampleBilinearLayer>(r));
+        nn::Model m("shuffle-plus-bilinear",
+                    std::make_unique<nn::TwoBranchAdd>(
+                        std::make_unique<nn::PixelShuffle>(r),
+                        std::move(skip)));
+        std::mt19937 rng(910 + r);
+        const int ci = c * r * r;
+        std::vector<Tensor> calib{data::synthetic_image(ci, 6, 5, rng)};
+        const QuantizedModel qm(m, calib);
+        QuantExecutor ex(qm);
+        const QBilinearNode* up = nullptr;
+        for (const plan::OpIR& op : ex.plan().ops) {
+            if (op.kind == plan::OpKind::kUpsample) {
+                up = static_cast<const QBilinearNode*>(op.node);
+            }
+        }
+        ASSERT_NE(up, nullptr);
+        const int wbits = 2 * ceil_log2(2 * r);
+        std::uniform_int_distribution<int> code(-128, 127);
+        for (const auto& [h, w] :
+             {std::pair{1, 1}, std::pair{1, 9}, std::pair{9, 1},
+              std::pair{2, 3}, std::pair{13, 17}}) {
+            for (const int shift : {-12, -9, -3, 0, 2, 7}) {
+                QAct in;
+                in.shape = {ci, h, w};
+                in.v.resize(static_cast<size_t>(ci) * h * w);
+                for (size_t i = 0; i < in.v.size(); ++i) {
+                    in.v[i] = i % 7 == 0 ? (i % 2 != 0 ? 127 : -128)
+                                         : code(rng);
+                }
+                // Channel ch of the upsampled branch shifts by `shift`;
+                // the shuffled branch's fracs spread around it.
+                in.frac.resize(static_cast<size_t>(ci));
+                for (int ch = 0; ch < ci; ++ch) {
+                    in.frac[static_cast<size_t>(ch)] =
+                        ch < c ? up->target[static_cast<size_t>(ch)] - wbits +
+                                     shift
+                               : up->target[0] + shift + ch % 5 - 2;
+                }
+                expect_bit_identical(
+                    qm.root()->forward(in), ex.run(in),
+                    "r=" + std::to_string(r) + " " + std::to_string(h) + "x" +
+                        std::to_string(w) +
+                        " shift=" + std::to_string(shift));
+            }
+        }
+    }
 }
 
 TEST(QuantExecutorModel, SrresnetWithBilinearSkipBitExact)
